@@ -15,24 +15,27 @@
 // servers; the resilient client retries and falls back to the repository, so
 // every fetch still completes.
 //
-// With -heal a self-healing supervisor probes every site's /healthz and,
+// With -heal a self-healing probe loop checks every site's /healthz and,
 // when a site stops answering (say, under -chaos outage windows), computes a
 // repair plan — the dead site's pages re-homed onto survivors, replicas
 // re-replicated — and applies it to the live cluster without a restart,
-// reinstating the original placement once the site returns.
+// reinstating the base placement once the site returns.
 //
 // With -scrub an anti-entropy scrubber walks every replica the live plan
 // stores, verifies its self-describing payload end to end (catching replica
 // rot and wire corruption that availability probes cannot see), and repairs
 // corrupt replicas by re-shipping only their bytes from the repository.
 //
+// -heal, -adapt and -scrub choose the observer loops of one
+// controller.Reconciler, the only writer of the live plan, so they compose:
+// an adaptation during an outage is repaired before it ships, and a
+// recovery reinstates the adapted plan.
+//
 // With -overload every server gets the admission stack — a bounded
 // deadline-aware queue (CoDel sojourn shedding), AIMD concurrency limits and
 // brownout page degradation — and an open-loop arrival ramp (1s base rate,
 // 1s 10x flash crowd, 2s base) is driven through the live cluster; the
 // summary shows goodput, 429 sheds and brownout-degraded pages.
-//
-// Usage:
 //
 // With -trace every fetch is traced end to end — the client's page root,
 // chains, retries, backoffs and fallbacks, plus the server-side serve spans
@@ -70,6 +73,10 @@ import (
 	"repro/internal/faults"
 	"repro/internal/webserve"
 )
+
+// newJournal builds the -journal flight recorder (a seam for tests that
+// inspect the recorded events).
+var newJournal = func() *repro.EventJournal { return repro.NewEventJournal(0) }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("replserve", flag.ContinueOnError)
@@ -132,7 +139,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	var journal *repro.EventJournal
 	if *journalOn {
-		journal = repro.NewEventJournal(0)
+		journal = newJournal()
 	}
 	copts := webserve.ClusterOptions{
 		Metrics:   *metrics,
@@ -199,45 +206,54 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "example page: %s\n\n", cluster.PageURL(w.Sites[0].Pages[0]))
 
+	var rec *controller.Reconciler
+	var loops controller.Loops
 	if *heal {
-		sup := controller.New(env, placement, cluster, controller.Options{
-			Metrics: cluster.Metrics,
-			Log:     stdout,
-			Journal: journal,
-		})
-		sup.Start()
-		defer func() {
-			sup.Stop()
-			repairs, recoveries := sup.Counts()
-			fmt.Fprintf(stdout, "supervisor: %d repairs, %d recoveries applied\n", repairs, recoveries)
-			if err := sup.Err(); err != nil {
-				fmt.Fprintf(stdout, "supervisor: last error: %v\n", err)
-			}
-		}()
-		fmt.Fprintln(stdout, "self-healing: supervisor probing every site's /healthz (down after 3 missed probes, repair applied live)")
+		loops |= controller.HealLoop
 	}
-
-	var scrubber *controller.Scrubber
 	if *scrub {
-		scrubber = controller.NewScrubber(env, cluster, controller.ScrubOptions{
-			Metrics: cluster.Metrics,
-			Log:     stdout,
-			Journal: journal,
-		})
-		fmt.Fprintln(stdout, "scrub: anti-entropy integrity scrubber armed (self-verifying payloads, delta-only repair)")
+		loops |= controller.ScrubLoop
 	}
-
-	var adapter *controller.Adapter
 	if *adapt {
-		adapter, err = controller.NewAdapter(env, placement, cluster, freqEst, controller.AdaptOptions{
-			Interval: 5 * time.Second,
-			Metrics:  cluster.Metrics,
-			Log:      stdout,
-			Journal:  journal,
+		loops |= controller.AdaptLoop
+	}
+	if loops != 0 {
+		rec, err = controller.New(env, placement, cluster, freqEst, loops, controller.Options{
+			AdaptInterval: 5 * time.Second,
+			Metrics:       cluster.Metrics,
+			Log:           stdout,
+			Journal:       journal,
 		})
 		if err != nil {
 			return err
 		}
+		defer func() {
+			rec.Stop()
+			st := rec.Stats()
+			if *serve && *adapt {
+				fmt.Fprintf(stdout, "adaptive: %d checks, %d triggers, %d re-plans, %d no-ops, %v shipped\n",
+					st.Checks, st.Triggers, st.Replans, st.Noops, st.CopyBytes)
+			}
+			if *serve && *scrub {
+				fmt.Fprintf(stdout, "scrub: %d cycles, %d replicas checked, %d corrupt, %d repairs, %v re-shipped\n",
+					st.ScrubCycles, st.ScrubObjects, st.ScrubCorrupt, st.ScrubRepairs, st.RepairBytes)
+			}
+			if *heal {
+				fmt.Fprintf(stdout, "supervisor: %d repairs, %d recoveries applied\n", st.Repairs, st.Recoveries)
+				if err := rec.Err(); err != nil {
+					fmt.Fprintf(stdout, "supervisor: last error: %v\n", err)
+				}
+			}
+		}()
+	}
+	if *heal {
+		rec.Start(controller.HealLoop)
+		fmt.Fprintln(stdout, "self-healing: supervisor probing every site's /healthz (down after 3 missed probes, repair applied live)")
+	}
+	if *scrub {
+		fmt.Fprintln(stdout, "scrub: anti-entropy integrity scrubber armed (self-verifying payloads, delta-only repair)")
+	}
+	if *adapt {
 		fmt.Fprintln(stdout, "adaptive: streaming estimator tapping the access path; drift-gated re-planning armed")
 	}
 
@@ -285,9 +301,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if scrubber != nil && *fetch > 0 {
+	if *scrub && *fetch > 0 {
 		fmt.Fprintln(stdout, "\nscrub cycle: walking every stored replica …")
-		cyc, err := scrubber.RunCycle()
+		cyc, err := rec.ScrubNow()
 		if err != nil {
 			return err
 		}
@@ -299,9 +315,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if adapter != nil && *fetch > 0 {
+	if *adapt && *fetch > 0 {
 		fmt.Fprintln(stdout, "\nadaptive cycle: drift check on the streamed estimate …")
-		cyc, err := adapter.CheckNow(time.Since(clusterStart).Seconds())
+		cyc, err := rec.AdaptNow(time.Since(clusterStart).Seconds())
 		if err != nil {
 			return err
 		}
@@ -317,24 +333,13 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *serve {
-		if scrubber != nil {
-			scrubber.Start()
-			defer func() {
-				scrubber.Stop()
-				cycles, objects, corrupt, repairs := scrubber.Counts()
-				fmt.Fprintf(stdout, "scrub: %d cycles, %d replicas checked, %d corrupt, %d repairs, %v re-shipped\n",
-					cycles, objects, corrupt, repairs, scrubber.RepairBytes())
-			}()
+		if rec != nil {
+			rec.Start(loops &^ controller.HealLoop)
+		}
+		if *scrub {
 			fmt.Fprintln(stdout, "scrub: continuous integrity cycles every 2s")
 		}
-		if adapter != nil {
-			adapter.Start()
-			defer func() {
-				adapter.Stop()
-				checks, triggers, replans, noops := adapter.Counts()
-				fmt.Fprintf(stdout, "adaptive: %d checks, %d triggers, %d re-plans, %d no-ops, %v shipped\n",
-					checks, triggers, replans, noops, adapter.CopyBytes())
-			}()
+		if *adapt {
 			fmt.Fprintln(stdout, "adaptive: continuous drift checks every 5s")
 		}
 		// Block until SIGINT/SIGTERM so the deferred cluster.Close() (and

@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -128,5 +129,50 @@ func TestRunServeHeal(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRunServeHealAdaptScrub composes all three control loops on one
+// cluster: each prints its usual lines, and every plan push is journaled
+// with a strictly increasing generation.
+func TestRunServeHealAdaptScrub(t *testing.T) {
+	var journal *repro.EventJournal
+	defer func(orig func() *repro.EventJournal) { newJournal = orig }(newJournal)
+	newJournal = func() *repro.EventJournal {
+		journal = repro.NewEventJournal(0)
+		return journal
+	}
+	var sb strings.Builder
+	if err := run([]string{"-fetch", "6", "-heal", "-adapt", "-scrub", "-journal"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		"self-healing: supervisor probing",
+		"scrub: anti-entropy integrity scrubber armed",
+		"adaptive: streaming estimator tapping the access path",
+		"fetched 6 pages",
+		"replicas checked,",
+		"re-planned on observed traffic",
+		"recoveries applied",
+		"plan.applied",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	last := 0
+	for _, ev := range journal.Events() {
+		if ev.Type != "plan.applied" {
+			continue
+		}
+		gen, err := strconv.Atoi(ev.Field("generation"))
+		if err != nil || gen <= last {
+			t.Fatalf("plan.applied generation %q after %d: not strictly increasing", ev.Field("generation"), last)
+		}
+		last = gen
+	}
+	if last == 0 {
+		t.Fatal("no plan.applied event carries a generation")
 	}
 }

@@ -2,180 +2,54 @@ package controller
 
 import (
 	"fmt"
-	"io"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/estimate"
 	"repro/internal/model"
 	"repro/internal/repair"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/units"
-	"repro/internal/webserve"
 )
-
-// AdaptOptions tunes the adaptive re-planning loop.
-type AdaptOptions struct {
-	// Interval is the drift-check period in continuous mode (default 1s).
-	// One-shot callers use CheckNow and never start the loop.
-	Interval time.Duration
-	// Detector configures the drift thresholds (estimate.DetectorConfig
-	// zero values take that package's defaults).
-	Detector estimate.DetectorConfig
-	// Workers bounds the re-planning concurrency (0 = GOMAXPROCS); plans
-	// are identical at any width.
-	Workers int
-	// Metrics, when non-nil, receives the adapt counters (adapt.checks,
-	// adapt.triggers, adapt.replans, adapt.noops, adapt.copy_bytes) and the
-	// adapt.drift_l1 gauge.
-	Metrics *telemetry.Registry
-	// Log, when non-nil, receives one line per check outcome.
-	Log io.Writer
-	// Journal, when non-nil, records every drift check ("adapt.check"),
-	// re-plan ("adapt.replanned" + "plan.applied" mode=adapt) and no-op
-	// ("adapt.noop") as structured events.
-	Journal *trace.Journal
-}
-
-func (o AdaptOptions) normalize() AdaptOptions {
-	if o.Interval <= 0 {
-		o.Interval = time.Second
-	}
-	return o
-}
 
 // Cycle is one drift check's outcome.
 type Cycle struct {
 	// Decision is the detector's verdict on this check.
 	Decision estimate.Decision
-	// Replanned reports that a new placement shipped to the cluster.
+	// Replanned reports that a new base plan shipped to the cluster.
 	Replanned bool
 	// Noop reports that the detector triggered but re-planning produced a
-	// placement identical to the live one, so nothing shipped.
+	// placement identical to the base, so nothing shipped.
 	Noop bool
-	// Delta is the shipped (or would-be) change summary; nil when the
-	// detector did not trigger. On a re-plan, Delta.CopyBytes is the
-	// bytes-moved cost journaled for the adaptation.
+	// Delta is the base-to-base change summary; nil when the detector did
+	// not trigger. On a re-plan, Delta.CopyBytes is the bytes-moved cost
+	// journaled for the adaptation.
 	Delta *repair.Delta
 }
 
-// Adapter closes the loop the paper's §4.1 leaves open: it watches a
-// streaming frequency estimate (fed by the cluster's access-log tap),
-// detects drift against the traffic the live plan was built from, and when
-// the drift is worth acting on re-runs the planner and ships only the plan
-// delta through Cluster.ApplyPlan — journaling bytes-moved as the cost.
-// Placement targets are CDN-style clusters, so an unchanged placement is
-// explicitly recognized and never re-copied.
-//
-// Use CheckNow for a synchronous one-shot cycle (replserve -adapt without
-// -serve), or Start/Stop for the continuous loop.
-type Adapter struct {
-	cluster *webserve.Cluster
-	est     *estimate.Estimator
-	det     *estimate.Detector
-	opts    AdaptOptions
-	start   time.Time
-
-	mu        sync.Mutex
-	env       *model.Env       // environment the live plan was built from
-	plan      *model.Placement // the live placement
-	checks    int
-	triggers  int
-	replans   int
-	noops     int
-	copyBytes units.ByteSize
-	lastErr   error
-
-	cChecks, cTriggers, cReplans, cNoops, cCopyBytes *telemetry.Counter
-	gDriftL1                                         *telemetry.Gauge
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// NewAdapter builds the adaptive loop for a running cluster. env and p are
-// the environment and placement the cluster currently serves (the drift
-// baseline); est must be the estimator wired into the cluster as its
-// access tap.
-func NewAdapter(env *model.Env, p *model.Placement, cluster *webserve.Cluster, est *estimate.Estimator, opts AdaptOptions) (*Adapter, error) {
-	det, err := estimate.NewDetector(estimate.BaselineVector(env.W), opts.Detector)
-	if err != nil {
-		return nil, err
+// AdaptNow runs one synchronous drift cycle at estimator time t (seconds):
+// snapshot the estimate, check drift against the traffic the base plan was
+// built from, and — when the detector triggers — re-plan against the
+// re-estimated workload. A changed plan becomes the new base and the
+// desired state is shipped: the base itself, or the base repaired over the
+// current down set, so an adaptation during an outage never routes pages
+// to a dead site. An unchanged placement is recognized and never re-copied
+// (placement targets are CDN-style clusters). Safe to call concurrently
+// with the loops.
+func (r *Reconciler) AdaptNow(t float64) (*Cycle, error) {
+	if r.det == nil {
+		return nil, fmt.Errorf("controller: drift check without an estimator")
 	}
-	opts = opts.normalize()
-	a := &Adapter{
-		cluster: cluster,
-		est:     est,
-		det:     det,
-		opts:    opts,
-		env:     env,
-		plan:    p,
-		start:   time.Now(),
-	}
-	if reg := opts.Metrics; reg != nil {
-		a.cChecks = reg.Counter("adapt.checks")
-		a.cTriggers = reg.Counter("adapt.triggers")
-		a.cReplans = reg.Counter("adapt.replans")
-		a.cNoops = reg.Counter("adapt.noops")
-		a.cCopyBytes = reg.Counter("adapt.copy_bytes")
-		a.gDriftL1 = reg.Gauge("adapt.drift_l1")
-	}
-	return a, nil
-}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 
-// Start launches the continuous loop: one CheckNow per Interval on the
-// cluster-uptime clock. Stop ends it.
-func (a *Adapter) Start() {
-	a.stop = make(chan struct{})
-	a.done = make(chan struct{})
-	go a.loop()
-}
-
-// Stop ends the loop and waits for it to exit.
-func (a *Adapter) Stop() {
-	close(a.stop)
-	<-a.done
-}
-
-func (a *Adapter) loop() {
-	defer close(a.done)
-	ticker := time.NewTicker(a.opts.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-ticker.C:
-			if _, err := a.CheckNow(time.Since(a.start).Seconds()); err != nil {
-				a.mu.Lock()
-				a.lastErr = err
-				a.mu.Unlock()
-				a.opts.Journal.Record("adapt.error", trace.A(trace.AttrReason, err.Error()))
-				a.logf("%v", err)
-			}
-		}
-	}
-}
-
-// CheckNow runs one synchronous adapt cycle at estimator time t (seconds):
-// snapshot the estimate, check drift, and — when the detector triggers —
-// re-plan against the re-estimated workload and ship the placement delta.
-// Serialized internally; safe to call concurrently with the loop.
-func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-
-	snap := a.est.Snapshot(t)
-	dec, err := a.det.Check(snap.FreqVector(a.env.W.NumPages()))
+	snap := r.est.Snapshot(t)
+	dec, err := r.det.Check(snap.FreqVector(r.baseEnv.W.NumPages()))
 	if err != nil {
 		return nil, fmt.Errorf("controller: drift check: %w", err)
 	}
-	a.checks++
-	a.cChecks.Inc()
-	a.gDriftL1.Set(dec.L1)
-	a.opts.Journal.Record("adapt.check",
+	r.stats.Checks++
+	r.cChecks.Inc()
+	r.gDriftL1.Set(dec.L1)
+	r.opts.Journal.Record("adapt.check",
 		trace.F("l1", dec.L1),
 		trace.F("topk_churn", dec.TopKChurn),
 		trace.A("trigger", fmt.Sprint(dec.Trigger)))
@@ -183,101 +57,66 @@ func (a *Adapter) CheckNow(t float64) (*Cycle, error) {
 	if !dec.Trigger {
 		return out, nil
 	}
-	a.triggers++
-	a.cTriggers.Inc()
-	a.logf("drift trigger: L1=%.3f topk=%.2f, re-planning", dec.L1, dec.TopKChurn)
+	r.stats.Triggers++
+	r.cTriggers.Inc()
+	r.logf("adapt: drift trigger: L1=%.3f topk=%.2f, re-planning", dec.L1, dec.TopKChurn)
 
 	// Re-estimate the workload from the snapshot and re-plan against it.
-	w2, err := snap.EstimateWorkload(a.env.W)
+	w2, err := snap.EstimateWorkload(r.baseEnv.W)
 	if err != nil {
 		return nil, fmt.Errorf("controller: re-estimate: %w", err)
 	}
-	env2, err := model.NewEnv(w2, a.env.Est, a.env.Budgets)
+	env2, err := model.NewEnv(w2, r.baseEnv.Est, r.baseEnv.Budgets)
 	if err != nil {
 		return nil, fmt.Errorf("controller: re-estimated env: %w", err)
 	}
-	env2.Alpha1, env2.Alpha2 = a.env.Alpha1, a.env.Alpha2
-	fresh, _, err := core.Plan(env2, core.Options{Workers: a.opts.Workers})
+	env2.Alpha1, env2.Alpha2 = r.baseEnv.Alpha1, r.baseEnv.Alpha2
+	fresh, _, err := core.Plan(env2, core.Options{Workers: r.opts.Workers})
 	if err != nil {
 		return nil, fmt.Errorf("controller: re-plan: %w", err)
 	}
 
-	delta := repair.ChangeDelta(a.env, env2, a.plan, fresh)
+	delta := repair.ChangeDelta(r.baseEnv, env2, r.base, fresh)
 	out.Delta = &delta
 
 	// Only ship a delta: an unchanged placement (no new replicas, no
-	// flipped local/remote marks) must cost zero bytes and zero churn.
-	diff, err := model.Diff(a.plan, fresh)
+	// flipped local/remote marks) must cost zero bytes and zero churn. The
+	// base stays as it is, so the desired state does not move either.
+	diff, err := model.Diff(r.base, fresh)
 	if err != nil {
 		return nil, fmt.Errorf("controller: plan diff: %w", err)
 	}
 	if !diff.Changed() {
-		a.noops++
-		a.cNoops.Inc()
-		a.env = env2 // the re-estimated traffic is the new baseline
-		a.det.Rebase(estimate.BaselineVector(w2))
-		a.opts.Journal.Record("adapt.noop",
+		r.stats.Noops++
+		r.cNoops.Inc()
+		r.det.Rebase(estimate.BaselineVector(w2))
+		r.opts.Journal.Record("adapt.noop",
 			trace.F("l1", dec.L1),
 			trace.F("d_stale", delta.DBefore))
-		a.logf("re-plan is a no-op (placement unchanged), baseline rebased")
+		r.logf("adapt: re-plan is a no-op (placement unchanged), baseline rebased")
 		out.Noop = true
 		return out, nil
 	}
 
-	if err := a.cluster.ApplyPlan(w2, fresh); err != nil {
-		return nil, fmt.Errorf("controller: adapt apply: %w", err)
+	env, p, plan, err := r.desired(env2, fresh, r.down())
+	if err != nil {
+		return nil, err
 	}
-	a.env = env2
-	a.plan = fresh
-	a.replans++
-	a.copyBytes += delta.CopyBytes
-	a.cReplans.Inc()
-	a.cCopyBytes.Add(int64(delta.CopyBytes))
-	a.det.Rebase(estimate.BaselineVector(w2))
-	a.opts.Journal.Record("adapt.replanned",
+	if err := r.apply(env, p, "adapt", trace.I("copy_bytes", int64(delta.CopyBytes))); err != nil {
+		return nil, err
+	}
+	r.baseEnv, r.base, r.repair = env2, fresh, plan
+	r.stats.Replans++
+	r.stats.CopyBytes += delta.CopyBytes
+	r.cReplans.Inc()
+	r.cCopyBytes.Add(int64(delta.CopyBytes))
+	r.det.Rebase(estimate.BaselineVector(w2))
+	r.opts.Journal.Record("adapt.replanned",
 		trace.I("copy_bytes", int64(delta.CopyBytes)),
 		trace.F("d_stale", delta.DBefore),
 		trace.F("d_after", delta.DAfter))
-	a.opts.Journal.Record("plan.applied",
-		trace.A("mode", "adapt"),
-		trace.I("copy_bytes", int64(delta.CopyBytes)))
-	a.logf("adapted: D %.4f -> %.4f, %d bytes copied",
+	r.logf("adapt: adapted: D %.4f -> %.4f, %d bytes copied",
 		delta.DBefore, delta.DAfter, int64(delta.CopyBytes))
 	out.Replanned = true
 	return out, nil
-}
-
-func (a *Adapter) logf(format string, args ...interface{}) {
-	if a.opts.Log != nil {
-		fmt.Fprintf(a.opts.Log, "adapt: "+format+"\n", args...)
-	}
-}
-
-// Counts returns how many checks, triggers, re-plans and no-ops the
-// adapter has performed.
-func (a *Adapter) Counts() (checks, triggers, replans, noops int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.checks, a.triggers, a.replans, a.noops
-}
-
-// CopyBytes returns the total adaptation traffic shipped so far.
-func (a *Adapter) CopyBytes() units.ByteSize {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.copyBytes
-}
-
-// Current returns the environment and placement the cluster serves now.
-func (a *Adapter) Current() (*model.Env, *model.Placement) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.env, a.plan
-}
-
-// Err returns the last loop error, nil if none.
-func (a *Adapter) Err() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastErr
 }

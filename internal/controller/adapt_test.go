@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/estimate"
+	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -15,8 +16,9 @@ import (
 
 // adaptEnv builds a planned deployment with tight storage (so placements
 // are selective and drift actually moves replicas) plus the estimator
-// wired in as the cluster's access tap.
-func adaptEnv(t *testing.T, storageFrac float64) (*model.Env, *model.Placement, *webserve.Cluster, *estimate.Estimator) {
+// wired in as the cluster's access tap. faultsFor, when non-nil, derives
+// the cluster's fault plan from the planned placement.
+func adaptEnv(t *testing.T, storageFrac float64, faultsFor func(*model.Env, *model.Placement) *faults.Plan) (*model.Env, *model.Placement, *webserve.Cluster, *estimate.Estimator) {
 	t.Helper()
 	env, _ := healEnv(t)
 	budgets := model.FullBudgets(env.W).Scale(env.W, storageFrac, 1)
@@ -32,7 +34,11 @@ func adaptEnv(t *testing.T, storageFrac float64) (*model.Env, *model.Placement, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := webserve.StartClusterOptions(tight.W, p, webserve.ClusterOptions{AccessTap: est})
+	copts := webserve.ClusterOptions{AccessTap: est}
+	if faultsFor != nil {
+		copts.Faults = faultsFor(tight, p)
+	}
+	cluster, err := webserve.StartClusterOptions(tight.W, p, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,18 +87,15 @@ func observeFlashCrowd(w *workload.Workload, est *estimate.Estimator, t float64)
 }
 
 func TestAdapterReplansOnDrift(t *testing.T) {
-	env, p, cluster, est := adaptEnv(t, 0.3)
+	env, p, cluster, est := adaptEnv(t, 0.3, nil)
 	defer cluster.Close()
 	reg := telemetry.NewRegistry()
 	journal := trace.NewJournal(256)
-	a, err := NewAdapter(env, p, cluster, est, AdaptOptions{Workers: 1, Metrics: reg, Journal: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustNew(t, env, p, cluster, est, AdaptLoop, Options{Workers: 1, Metrics: reg, Journal: journal})
 
 	// In-plan traffic: no trigger.
 	observeBaseline(env.W, est, 1)
-	cyc, err := a.CheckNow(1)
+	cyc, err := a.AdaptNow(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +105,7 @@ func TestAdapterReplansOnDrift(t *testing.T) {
 
 	// Flash crowd on the cold pages: trigger + re-plan + shipped delta.
 	observeFlashCrowd(env.W, est, 2)
-	cyc, err = a.CheckNow(2)
+	cyc, err = a.AdaptNow(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +125,7 @@ func TestAdapterReplansOnDrift(t *testing.T) {
 
 	// The cluster now serves the fresh placement: a newly-hot page's local
 	// object count matches the plan.
-	_, fresh := a.Current()
+	_, fresh := a.Base()
 	hot := coldest(env.W, 0)
 	wantLocal := 0
 	for idx := range env.W.Pages[hot].Compulsory {
@@ -142,7 +145,7 @@ func TestAdapterReplansOnDrift(t *testing.T) {
 	// The baseline was rebased onto the adapted plan: the same flash-crowd
 	// traffic no longer drifts.
 	observeFlashCrowd(env.W, est, 3)
-	cyc, err = a.CheckNow(3)
+	cyc, err = a.AdaptNow(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +153,12 @@ func TestAdapterReplansOnDrift(t *testing.T) {
 		t.Fatalf("post-adaptation traffic still triggers: %+v", cyc.Decision)
 	}
 
-	checks, triggers, replans, noops := a.Counts()
-	if checks != 3 || triggers != 1 || replans != 1 || noops != 0 {
-		t.Errorf("counts = (%d checks, %d triggers, %d replans, %d noops), want (3, 1, 1, 0)", checks, triggers, replans, noops)
+	st := a.Stats()
+	if st.Checks != 3 || st.Triggers != 1 || st.Replans != 1 || st.Noops != 0 {
+		t.Errorf("counts = (%d checks, %d triggers, %d replans, %d noops), want (3, 1, 1, 0)", st.Checks, st.Triggers, st.Replans, st.Noops)
 	}
-	if a.CopyBytes() != shipped.CopyBytes {
-		t.Errorf("CopyBytes accounting off: adapter %v, delta %v", a.CopyBytes(), shipped.CopyBytes)
+	if st.CopyBytes != shipped.CopyBytes {
+		t.Errorf("CopyBytes accounting off: reconciler %v, delta %v", st.CopyBytes, shipped.CopyBytes)
 	}
 	snap := reg.Snapshot()
 	if got := counterValue(t, snap, "adapt.replans"); got != 1 {
@@ -171,17 +174,14 @@ func TestAdapterReplansOnDrift(t *testing.T) {
 
 func TestAdapterNoopShipsNothing(t *testing.T) {
 	// Unconstrained storage: every plan stores everything, so even a
-	// triggered re-plan yields an identical placement — the adapter must
+	// triggered re-plan yields an identical placement — the reconciler must
 	// recognize it and ship zero bytes (never a full re-copy).
-	env, p, cluster, est := adaptEnv(t, 1)
+	env, p, cluster, est := adaptEnv(t, 1, nil)
 	defer cluster.Close()
 	journal := trace.NewJournal(256)
-	a, err := NewAdapter(env, p, cluster, est, AdaptOptions{Workers: 1, Journal: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustNew(t, env, p, cluster, est, AdaptLoop, Options{Workers: 1, Journal: journal})
 	observeFlashCrowd(env.W, est, 1)
-	cyc, err := a.CheckNow(1)
+	cyc, err := a.AdaptNow(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,13 +194,13 @@ func TestAdapterNoopShipsNothing(t *testing.T) {
 	if cyc.Delta.CopyBytes != 0 || len(cyc.Delta.Copies) != 0 {
 		t.Fatalf("noop shipped bytes: %+v", cyc.Delta)
 	}
-	if a.CopyBytes() != 0 {
-		t.Fatalf("noop accounted copy bytes: %v", a.CopyBytes())
+	if st := a.Stats(); st.CopyBytes != 0 || st.Generation != 0 {
+		t.Fatalf("noop accounted copy bytes %v, generation %d", st.CopyBytes, st.Generation)
 	}
 	assertJournalHas(t, journal, "adapt.noop")
 	// And a second identical burst stays quiet: the baseline was rebased.
 	observeFlashCrowd(env.W, est, 2)
-	cyc, err = a.CheckNow(2)
+	cyc, err = a.AdaptNow(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/estimate"
 	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/rng"
@@ -42,7 +43,17 @@ func healEnv(t *testing.T) (*model.Env, *model.Placement) {
 	return env, p
 }
 
-// TestStateMachineTransitions drives the supervisor's observe step with
+// mustNew builds a reconciler or fails the test.
+func mustNew(t *testing.T, env *model.Env, p *model.Placement, cluster *webserve.Cluster, est *estimate.Estimator, hosted Loops, opts Options) *Reconciler {
+	t.Helper()
+	r, err := New(env, p, cluster, est, hosted, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestStateMachineTransitions drives the reconciler's observe step with
 // synthetic probe rounds — no timing, fully deterministic — and checks the
 // damping thresholds, the repair on the down edge, and the recovery once
 // the site answers again.
@@ -55,7 +66,7 @@ func TestStateMachineTransitions(t *testing.T) {
 	defer cluster.Close()
 
 	journal := trace.NewJournal(128)
-	s := New(env, p, cluster, Options{FailThreshold: 3, OKThreshold: 2, Workers: 1, Journal: journal})
+	s := mustNew(t, env, p, cluster, nil, HealLoop, Options{FailThreshold: 3, OKThreshold: 2, Workers: 1, Journal: journal})
 	up, down := []bool{true, true, true}, []bool{false, true, true}
 	noRTT := make([]time.Duration, 3)
 
@@ -68,7 +79,7 @@ func TestStateMachineTransitions(t *testing.T) {
 	if st := s.States()[0]; st != Up {
 		t.Fatalf("after recovery probe: %v, want up", st)
 	}
-	if s.CurrentPlan() != nil {
+	if s.ActiveRepair() != nil {
 		t.Fatal("a suspect blip triggered a repair")
 	}
 
@@ -79,7 +90,7 @@ func TestStateMachineTransitions(t *testing.T) {
 	if st := s.States()[0]; st != Down {
 		t.Fatalf("after 3 failures: %v, want down", st)
 	}
-	plan := s.CurrentPlan()
+	plan := s.ActiveRepair()
 	if plan == nil {
 		t.Fatal("down transition produced no repair plan")
 	}
@@ -101,7 +112,7 @@ func TestStateMachineTransitions(t *testing.T) {
 	if st := s.States()[0]; st != Up {
 		t.Fatalf("after %d good probes: %v, want up", 2, st)
 	}
-	if s.CurrentPlan() != nil {
+	if s.ActiveRepair() != nil {
 		t.Fatal("recovery left a repair plan active")
 	}
 	for _, pid := range env.W.Sites[0].Pages {
@@ -109,9 +120,8 @@ func TestStateMachineTransitions(t *testing.T) {
 			t.Fatalf("page %d routed to %d after recovery, want home site 0", pid, to)
 		}
 	}
-	repairs, recoveries := s.Counts()
-	if repairs != 1 || recoveries != 1 {
-		t.Fatalf("repairs=%d recoveries=%d, want 1 and 1", repairs, recoveries)
+	if st := s.Stats(); st.Repairs != 1 || st.Recoveries != 1 || st.Generation != 2 {
+		t.Fatalf("repairs=%d recoveries=%d generation=%d, want 1, 1 and 2", st.Repairs, st.Recoveries, st.Generation)
 	}
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
@@ -150,7 +160,7 @@ func TestStateMachineTransitions(t *testing.T) {
 }
 
 // TestHealEndToEnd is the acceptance test: under a killed site the running
-// supervisor detects the failure within the probe window, converges to a
+// reconciler detects the failure within the probe window, converges to a
 // repaired placement, and steady-state fetches of every page complete with
 // ZERO repository fallbacks — versus PR 3's permanent degraded mode — then
 // a restart recovers the original placement.
@@ -163,23 +173,15 @@ func TestHealEndToEnd(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	s := New(env, p, cluster, Options{
+	s := mustNew(t, env, p, cluster, nil, HealLoop, Options{
 		ProbeInterval: 20 * time.Millisecond,
 		FailThreshold: 3,
 		OKThreshold:   2,
 		Workers:       2,
 		Metrics:       reg,
 	})
-	s.Start()
-	defer func() {
-		if s.stop != nil {
-			select {
-			case <-s.done:
-			default:
-				s.Stop()
-			}
-		}
-	}()
+	s.Start(HealLoop)
+	defer s.Stop()
 
 	fetchAll := func(label string, wantSite0Home bool) {
 		t.Helper()
@@ -217,7 +219,7 @@ func TestHealEndToEnd(t *testing.T) {
 	if !s.WaitFor(func(st []SiteState) bool { return st[0] == Down }, 5*time.Second) {
 		t.Fatalf("site 0 never declared down; states=%v", s.States())
 	}
-	if s.CurrentPlan() == nil {
+	if s.ActiveRepair() == nil {
 		t.Fatal("down site has no active repair plan")
 	}
 	// Steady state under repair: every page — including the dead site's,
@@ -240,8 +242,8 @@ func TestHealEndToEnd(t *testing.T) {
 	}, 5*time.Second) {
 		t.Fatalf("cluster never recovered; states=%v", s.States())
 	}
-	if s.CurrentPlan() != nil {
-		t.Fatal("recovered supervisor still holds a repair plan")
+	if s.ActiveRepair() != nil {
+		t.Fatal("recovered reconciler still holds a repair plan")
 	}
 	fetchAll("recovered", true)
 	if reg.Counter("controller.recoveries").Value() == 0 {

@@ -4,49 +4,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
-	"time"
 
 	"repro/internal/htmlrefs"
-	"repro/internal/model"
 	"repro/internal/repair"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/webserve"
 	"repro/internal/workload"
 )
 
-// ScrubOptions tunes the background integrity scrubber.
-type ScrubOptions struct {
-	// Interval is the scrub period in continuous mode (default 2s). One-shot
-	// callers use RunCycle and never start the loop.
-	Interval time.Duration
-	// Timeout bounds each verification fetch (default 5s).
-	Timeout time.Duration
-	// Metrics, when non-nil, receives the scrub counters (scrub.cycles,
-	// scrub.objects, scrub.clean, scrub.corrupt, scrub.errors, scrub.repairs,
-	// scrub.repair_bytes).
-	Metrics *telemetry.Registry
-	// Log, when non-nil, receives one line per finding and repair.
-	Log io.Writer
-	// Journal, when non-nil, records every finding ("scrub.corrupt"), repair
-	// ("scrub.repaired" + "plan.applied" mode=scrub) and cycle summary
-	// ("scrub.cycle") as structured events.
-	Journal *trace.Journal
-}
-
-func (o ScrubOptions) normalize() ScrubOptions {
-	if o.Interval <= 0 {
-		o.Interval = 2 * time.Second
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 5 * time.Second
-	}
-	return o
-}
-
-// Finding is one corrupt replica the scrubber caught: site i's stored copy
+// Finding is one corrupt replica a scrub walk caught: site i's stored copy
 // of object k failed end-to-end verification.
 type Finding struct {
 	Site   workload.SiteID
@@ -63,7 +30,7 @@ type ScrubCycle struct {
 	// Corrupt lists the replicas that failed verification.
 	Corrupt []Finding
 	// Errors counts fetch failures (site unreachable mid-scrub, timeouts) —
-	// availability problems for the supervisor, not integrity findings.
+	// availability problems for the probe loop, not integrity findings.
 	Errors int
 	// Repaired reports that the corrupt replicas were re-shipped and
 	// re-verified clean this cycle.
@@ -73,103 +40,9 @@ type ScrubCycle struct {
 	RepairBytes units.ByteSize
 }
 
-// Scrubber is the anti-entropy loop: it walks the live placement replica by
-// replica, re-fetches each stored object from its site, and verifies the
-// self-describing payload end to end — the only check that catches replica
-// rot and wire corruption, which are invisible to availability probes (the
-// transfer succeeds; the bytes are wrong). A finding prunes the replica
-// from a shadow placement, prices the delta-only repair with the same
-// machinery adaptive re-planning uses, re-ships the replicas through
-// ApplyPlan, and re-verifies. The paper assumes replicas, once placed, stay
-// byte-identical to the repository master; this loop enforces that
-// assumption instead of trusting it.
-//
-// Use RunCycle for a synchronous one-shot pass (replserve -scrub without
-// -serve), or Start/Stop for the continuous loop. The scrubber composes
-// with the supervisor and the adapter: it reads whatever placement is live
-// via Cluster.CurrentPlan, so a repair or adaptation mid-scrub is picked up
-// on the next cycle.
-type Scrubber struct {
-	env     *model.Env
-	cluster *webserve.Cluster
-	opts    ScrubOptions
-	http    *http.Client
-
-	mu          sync.Mutex
-	cycles      int
-	objects     int
-	clean       int
-	corrupt     int
-	fetchErrs   int
-	repairs     int
-	repairBytes units.ByteSize
-	lastErr     error
-
-	cCycles, cObjects, cClean, cCorrupt *telemetry.Counter
-	cErrors, cRepairs, cRepairBytes     *telemetry.Counter
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// NewScrubber builds the integrity loop for a running cluster. env is the
-// planning environment the cluster serves (used to price repair deltas).
-func NewScrubber(env *model.Env, cluster *webserve.Cluster, opts ScrubOptions) *Scrubber {
-	opts = opts.normalize()
-	s := &Scrubber{
-		env:     env,
-		cluster: cluster,
-		opts:    opts,
-		http:    &http.Client{Timeout: opts.Timeout},
-	}
-	if reg := opts.Metrics; reg != nil {
-		s.cCycles = reg.Counter("scrub.cycles")
-		s.cObjects = reg.Counter("scrub.objects")
-		s.cClean = reg.Counter("scrub.clean")
-		s.cCorrupt = reg.Counter("scrub.corrupt")
-		s.cErrors = reg.Counter("scrub.errors")
-		s.cRepairs = reg.Counter("scrub.repairs")
-		s.cRepairBytes = reg.Counter("scrub.repair_bytes")
-	}
-	return s
-}
-
-// Start launches the continuous loop: one RunCycle per Interval. Stop ends it.
-func (s *Scrubber) Start() {
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	go s.loop()
-}
-
-// Stop ends the loop and waits for it to exit.
-func (s *Scrubber) Stop() {
-	close(s.stop)
-	<-s.done
-}
-
-func (s *Scrubber) loop() {
-	defer close(s.done)
-	ticker := time.NewTicker(s.opts.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			if _, err := s.RunCycle(); err != nil {
-				s.mu.Lock()
-				s.lastErr = err
-				s.mu.Unlock()
-				s.opts.Journal.Record("scrub.error", trace.A(trace.AttrReason, err.Error()))
-				s.logf("%v", err)
-			}
-		}
-	}
-}
-
-// fetch retrieves one replica's bytes from site i.
-func (s *Scrubber) fetch(base string, k workload.ObjectID) ([]byte, error) {
-	resp, err := s.http.Get(base + htmlrefs.MOPath(k))
+// fetch retrieves one replica's bytes from the site at base.
+func (r *Reconciler) fetch(base string, k workload.ObjectID) ([]byte, error) {
+	resp, err := r.fetcher.Get(base + htmlrefs.MOPath(k))
 	if err != nil {
 		return nil, err
 	}
@@ -181,136 +54,115 @@ func (s *Scrubber) fetch(base string, k workload.ObjectID) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// RunCycle walks the live placement once: every replica the plan claims a
-// live site stores is fetched and verified against the workload's payload
-// contract (including provenance — a header claiming another source is a
-// finding too). Corrupt replicas are pruned from a shadow placement, the
-// delta back to the full plan priced with repair.ChangeDelta (so
-// RepairBytes counts exactly the re-shipped replicas), re-shipped via
-// ApplyPlan, cleared in the fault injectors, and re-verified. Serialized
-// internally; safe to call concurrently with the loop.
-func (s *Scrubber) RunCycle() (*ScrubCycle, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// ScrubNow runs one anti-entropy pass. The walk runs outside the lock:
+// every replica the live plan claims a live site stores is fetched and
+// verified against the workload's payload contract (including provenance —
+// a header claiming another source is a finding too). This is the only
+// check that catches replica rot and wire corruption, which availability
+// probes cannot see. The findings are then handled under the lock (see
+// repairFindings). The paper assumes replicas, once placed, stay
+// byte-identical to the repository master; this pass enforces that.
+func (r *Reconciler) ScrubNow() (*ScrubCycle, error) {
+	r.mu.Lock()
+	w, p := r.liveEnv.W, r.live
+	r.mu.Unlock()
 
-	w, p := s.cluster.CurrentPlan()
 	out := &ScrubCycle{}
-	s.cycles++
-	s.cCycles.Inc()
+	r.cCycles.Inc()
 	for i := 0; i < w.NumSites(); i++ {
 		site := workload.SiteID(i)
-		if s.cluster.SiteDown(i) {
+		if r.cluster.SiteDown(i) {
 			continue
 		}
-		base := s.cluster.SiteBases[i]
+		base := r.cluster.SiteBases[i]
 		p.StoredSet(site).ForEach(func(ki int) bool {
 			k := workload.ObjectID(ki)
 			out.Checked++
-			s.objects++
-			s.cObjects.Inc()
-			data, err := s.fetch(base, k)
+			r.cObjects.Inc()
+			data, err := r.fetch(base, k)
 			if err != nil {
 				out.Errors++
-				s.fetchErrs++
-				s.cErrors.Inc()
+				r.cErrors.Inc()
 				return true
 			}
 			if verr := webserve.VerifyObjectFrom(w, i, k, data); verr != nil {
 				out.Corrupt = append(out.Corrupt, Finding{Site: site, Object: k, Reason: verr.Error()})
-				s.corrupt++
-				s.cCorrupt.Inc()
-				s.opts.Journal.Record("scrub.corrupt",
-					trace.I(trace.AttrSite, int64(i)),
-					trace.I(trace.AttrObject, int64(k)),
-					trace.A(trace.AttrReason, verr.Error()))
-				s.logf("corrupt replica: site %d object %d: %v", i, k, verr)
+				r.cCorrupt.Inc()
 				return true
 			}
 			out.Clean++
-			s.clean++
-			s.cClean.Inc()
+			r.cClean.Inc()
 			return true
 		})
 	}
 
-	if len(out.Corrupt) > 0 {
-		if err := s.repairFindings(w, p, out); err != nil {
-			return out, err
-		}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.stats.ScrubCycles++
+	r.stats.ScrubObjects += out.Checked
+	r.stats.ScrubCorrupt += len(out.Corrupt)
+	for _, f := range out.Corrupt {
+		r.opts.Journal.Record("scrub.corrupt",
+			trace.I(trace.AttrSite, int64(f.Site)),
+			trace.I(trace.AttrObject, int64(f.Object)),
+			trace.A(trace.AttrReason, f.Reason))
+		r.logf("scrub: corrupt replica: site %d object %d: %s", f.Site, f.Object, f.Reason)
 	}
-	s.opts.Journal.Record("scrub.cycle",
+	if err := r.repairFindings(out); err != nil {
+		return out, err
+	}
+	r.opts.Journal.Record("scrub.cycle",
 		trace.I("checked", int64(out.Checked)),
 		trace.I("corrupt", int64(len(out.Corrupt))),
 		trace.I("errors", int64(out.Errors)))
 	return out, nil
 }
 
-// repairFindings is the anti-entropy step: prune the corrupt replicas from
-// a shadow copy of the plan, price the delta back to the full plan, re-ship
-// it, and re-verify each repaired replica.
-func (s *Scrubber) repairFindings(w *workload.Workload, p *model.Placement, out *ScrubCycle) error {
+// repairFindings is the anti-entropy step (mu held). A repair or re-plan
+// may have landed mid-walk, so findings for replicas the live plan no
+// longer stores are dropped; the rest are pruned from a shadow copy of the
+// live plan to price the delta back to it (CopyBytes counts exactly the
+// re-shipped replicas), and the live plan — the current desired state,
+// never the walk's snapshot — is re-shipped and each replica re-verified.
+func (r *Reconciler) repairFindings(out *ScrubCycle) error {
+	env, p := r.liveEnv, r.live
 	pruned := p.Clone()
+	var fixes []Finding
 	for _, f := range out.Corrupt {
-		pruned.Unstore(f.Site, f.Object)
+		if p.IsStored(f.Site, f.Object) {
+			pruned.Unstore(f.Site, f.Object)
+			fixes = append(fixes, f)
+		}
 	}
-	// from=pruned, to=p: Copies lists exactly the corrupt replicas, so
-	// CopyBytes prices the delta-only repair traffic.
-	delta := repair.ChangeDelta(s.env, s.env, pruned, p)
-	if err := s.cluster.ApplyPlan(w, p); err != nil {
-		return fmt.Errorf("scrub: repair apply: %w", err)
+	if len(fixes) == 0 {
+		return nil
 	}
-	for _, f := range out.Corrupt {
-		s.cluster.ClearRot(int(f.Site), f.Object)
+	delta := repair.ChangeDelta(env, env, pruned, p)
+	if err := r.apply(env, p, "scrub", trace.I("copy_bytes", int64(delta.CopyBytes))); err != nil {
+		return err
 	}
-	for _, f := range out.Corrupt {
-		data, err := s.fetch(s.cluster.SiteBases[f.Site], f.Object)
+	for _, f := range fixes {
+		r.cluster.ClearRot(int(f.Site), f.Object)
+	}
+	for _, f := range fixes {
+		data, err := r.fetch(r.cluster.SiteBases[f.Site], f.Object)
 		if err != nil {
 			return fmt.Errorf("scrub: re-verify fetch site %d object %d: %w", f.Site, f.Object, err)
 		}
-		if verr := webserve.VerifyObjectFrom(w, int(f.Site), f.Object, data); verr != nil {
+		if verr := webserve.VerifyObjectFrom(env.W, int(f.Site), f.Object, data); verr != nil {
 			return fmt.Errorf("scrub: replica still corrupt after repair: site %d object %d: %w",
 				f.Site, f.Object, verr)
 		}
 	}
 	out.Repaired = true
 	out.RepairBytes = delta.CopyBytes
-	s.repairs++
-	s.repairBytes += delta.CopyBytes
-	s.cRepairs.Inc()
-	s.cRepairBytes.Add(int64(delta.CopyBytes))
-	s.opts.Journal.Record("scrub.repaired",
-		trace.I("replicas", int64(len(out.Corrupt))),
+	r.stats.ScrubRepairs++
+	r.stats.RepairBytes += delta.CopyBytes
+	r.cScrubs.Inc()
+	r.cRepairBytes.Add(int64(delta.CopyBytes))
+	r.opts.Journal.Record("scrub.repaired",
+		trace.I("replicas", int64(len(fixes))),
 		trace.I("copy_bytes", int64(delta.CopyBytes)))
-	s.opts.Journal.Record("plan.applied",
-		trace.A("mode", "scrub"),
-		trace.I("copy_bytes", int64(delta.CopyBytes)))
-	s.logf("repaired %d replicas, %d bytes re-shipped", len(out.Corrupt), int64(delta.CopyBytes))
+	r.logf("scrub: repaired %d replicas, %d bytes re-shipped", len(fixes), int64(delta.CopyBytes))
 	return nil
-}
-
-func (s *Scrubber) logf(format string, args ...interface{}) {
-	if s.opts.Log != nil {
-		fmt.Fprintf(s.opts.Log, "scrub: "+format+"\n", args...)
-	}
-}
-
-// Counts returns the scrubber's lifetime totals.
-func (s *Scrubber) Counts() (cycles, objects, corrupt, repairs int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cycles, s.objects, s.corrupt, s.repairs
-}
-
-// RepairBytes returns the total anti-entropy traffic shipped so far.
-func (s *Scrubber) RepairBytes() units.ByteSize {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.repairBytes
-}
-
-// Err returns the last loop error, nil if none.
-func (s *Scrubber) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastErr
 }

@@ -36,9 +36,9 @@ func TestScrubberFindsAndRepairsRot(t *testing.T) {
 	defer cluster.Close()
 
 	journal := trace.NewJournal(256)
-	s := NewScrubber(penv, cluster, ScrubOptions{Metrics: cluster.Metrics, Journal: journal})
+	s := mustNew(t, penv, p, cluster, nil, ScrubLoop, Options{Metrics: cluster.Metrics, Journal: journal})
 
-	cyc, err := s.RunCycle()
+	cyc, err := s.ScrubNow()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestScrubberFindsAndRepairsRot(t *testing.T) {
 		t.Fatalf("%d replicas still rotted after repair", cluster.RotRemaining())
 	}
 
-	cyc2, err := s.RunCycle()
+	cyc2, err := s.ScrubNow()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestScrubberFindsAndRepairsRot(t *testing.T) {
 }
 
 // TestScrubberSkipsDownSites pins availability/integrity separation: a dead
-// site's replicas are the supervisor's problem, not integrity findings.
+// site's replicas are the probe loop's problem, not integrity findings.
 func TestScrubberSkipsDownSites(t *testing.T) {
 	penv, p := healEnv(t)
 	cluster, err := webserve.StartClusterOptions(penv.W, p, webserve.ClusterOptions{Metrics: true})
@@ -115,8 +115,8 @@ func TestScrubberSkipsDownSites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := NewScrubber(penv, cluster, ScrubOptions{})
-	cyc, err := s.RunCycle()
+	s := mustNew(t, penv, p, cluster, nil, ScrubLoop, Options{})
+	cyc, err := s.ScrubNow()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestScrubberRaceWithChaosAndFetches(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	s := NewScrubber(penv, cluster, ScrubOptions{
-		Interval: 20 * time.Millisecond,
-		Metrics:  cluster.Metrics,
+	s := mustNew(t, penv, p, cluster, nil, ScrubLoop, Options{
+		ScrubInterval: 20 * time.Millisecond,
+		Metrics:       cluster.Metrics,
 	})
-	s.Start()
+	s.Start(ScrubLoop)
 	defer s.Stop()
 
 	var wg sync.WaitGroup
@@ -197,9 +197,9 @@ func TestScrubberRaceWithChaosAndFetches(t *testing.T) {
 	if err := s.Err(); err != nil {
 		t.Fatalf("scrub loop error: %v", err)
 	}
-	cycles, _, corrupt, repairs := s.Counts()
-	if cycles == 0 || corrupt < n || repairs == 0 {
-		t.Fatalf("soak accounting off: cycles=%d corrupt=%d repairs=%d (want ≥1/≥%d/≥1)", cycles, corrupt, repairs, n)
+	st := s.Stats()
+	if st.ScrubCycles == 0 || st.ScrubCorrupt < n || st.ScrubRepairs == 0 {
+		t.Fatalf("soak accounting off: cycles=%d corrupt=%d repairs=%d (want ≥1/≥%d/≥1)", st.ScrubCycles, st.ScrubCorrupt, st.ScrubRepairs, n)
 	}
 }
 
@@ -218,7 +218,7 @@ func TestSupervisorDetectsLimpingSite(t *testing.T) {
 	defer cluster.Close()
 
 	journal := trace.NewJournal(256)
-	s := New(penv, p, cluster, Options{
+	s := mustNew(t, penv, p, cluster, nil, HealLoop, Options{
 		ProbeInterval: 20 * time.Millisecond,
 		// Far above the limp: every probe answers 200, so only the latency
 		// threshold can demote the site — the gray path under test.
@@ -230,7 +230,7 @@ func TestSupervisorDetectsLimpingSite(t *testing.T) {
 		Journal:          journal,
 		Metrics:          telemetry.NewRegistry(),
 	})
-	s.Start()
+	s.Start(HealLoop)
 	defer s.Stop()
 
 	if !s.WaitFor(func(states []SiteState) bool { return states[1] == Down }, 10*time.Second) {
@@ -264,7 +264,7 @@ func TestObserveLatencyDemotion(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	s := New(penv, p, cluster, Options{
+	s := mustNew(t, penv, p, cluster, nil, HealLoop, Options{
 		FailThreshold:    2,
 		OKThreshold:      1,
 		LatencyThreshold: 10 * time.Millisecond,

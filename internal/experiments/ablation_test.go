@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -284,6 +285,39 @@ func TestWeightsStudy(t *testing.T) {
 		}
 		if oByX[4] > oByX[0]+2 {
 			t.Errorf("optional RT worsened as its weight grew: %v -> %v", oByX[0], oByX[4])
+		}
+	}
+}
+
+// TestRedirectStudyDeterministic pins the figure against run-completion
+// order: with every run in flight at once, two same-seed builds must agree
+// bit for bit.
+func TestRedirectStudyDeterministic(t *testing.T) {
+	opts := tiny()
+	opts.Runs = 3
+	opts.Workers = opts.Runs
+	a, err := RedirectStudy(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RedirectStudy(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Series) != len(b.Series) {
+		t.Fatalf("series count %d vs %d", len(a.Series), len(b.Series))
+	}
+	for i, sa := range a.Series {
+		sb := b.Series[i]
+		for _, pair := range [][2][]float64{{sa.X, sb.X}, {sa.Y, sb.Y}, {sa.Err, sb.Err}} {
+			if len(pair[0]) != len(pair[1]) {
+				t.Fatalf("%s: %d vs %d points", sa.Name, len(pair[0]), len(pair[1]))
+			}
+			for j := range pair[0] {
+				if math.Float64bits(pair[0][j]) != math.Float64bits(pair[1][j]) {
+					t.Fatalf("%s point %d: %v vs %v", sa.Name, j, pair[0][j], pair[1][j])
+				}
+			}
 		}
 	}
 }

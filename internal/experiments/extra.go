@@ -91,10 +91,10 @@ func StorageEquivalence(opts Options) (*EquivalenceResult, error) {
 	col.mu.Lock()
 	defer col.mu.Unlock()
 	res := &EquivalenceResult{Fraction: 1, ProposedAt: make(map[float64]float64)}
-	res.LRUFull = col.data["LRU@100"][100].Mean()
-	res.LocalLevel = col.data["Local"][100].Mean()
+	res.LRUFull = fold(col.data["LRU@100"][100]).Mean()
+	res.LocalLevel = fold(col.data["Local"][100]).Mean()
 	for _, frac := range StorageGrid {
-		res.ProposedAt[frac] = col.data["Proposed"][frac*100].Mean()
+		res.ProposedAt[frac] = fold(col.data["Proposed"][frac*100]).Mean()
 	}
 	for _, frac := range StorageGrid {
 		if res.ProposedAt[frac] <= res.LRUFull {

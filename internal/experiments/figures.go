@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -20,17 +21,19 @@ func totalFlips(pr *core.Result) int64 {
 	return n
 }
 
-// collector accumulates per-(series, x) relative response times across runs
-// thread-safely (runs execute concurrently).
+// collector gathers per-(series, x) relative response times across runs
+// thread-safely (runs execute concurrently). It keeps the raw samples and
+// folds them in sorted order when the figure is rendered, so the means do
+// not depend on which run finished first.
 type collector struct {
 	mu   sync.Mutex
-	data map[string]map[float64]*stats.Accumulator
+	data map[string]map[float64][]float64
 	xs   map[string][]float64 // insertion order per series
 }
 
 func newCollector() *collector {
 	return &collector{
-		data: make(map[string]map[float64]*stats.Accumulator),
+		data: make(map[string]map[float64][]float64),
 		xs:   make(map[string][]float64),
 	}
 }
@@ -41,16 +44,13 @@ func (c *collector) add(series string, x, relPct float64) {
 	defer c.mu.Unlock()
 	m, ok := c.data[series]
 	if !ok {
-		m = make(map[float64]*stats.Accumulator)
+		m = make(map[float64][]float64)
 		c.data[series] = m
 	}
-	acc, ok := m[x]
-	if !ok {
-		acc = &stats.Accumulator{}
-		m[x] = acc
+	if _, ok := m[x]; !ok {
 		c.xs[series] = append(c.xs[series], x)
 	}
-	acc.Add(relPct)
+	m[x] = append(m[x], relPct)
 }
 
 // figure renders the collected series, in the given order, as a Figure.
@@ -64,25 +64,24 @@ func (c *collector) figure(title, xlabel string, order []string) *stats.Figure {
 			continue
 		}
 		s := f.AddSeries(name)
-		for _, x := range sortedKeys(c.xs[name], m) {
-			acc := m[x]
+		for _, x := range c.xs[name] {
+			acc := fold(m[x])
 			s.Add(x, acc.Mean(), acc.CI95())
 		}
 	}
 	return f
 }
 
-func sortedKeys(order []float64, m map[float64]*stats.Accumulator) []float64 {
-	// Preserve insertion order but deduplicate (runs insert the same grid).
-	seen := make(map[float64]bool, len(order))
-	out := make([]float64, 0, len(m))
-	for _, x := range order {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
+// fold accumulates samples in sorted order, so the result is the same
+// whatever order the runs added them in.
+func fold(samples []float64) *stats.Accumulator {
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	acc := &stats.Accumulator{}
+	for _, v := range sorted {
+		acc.Add(v)
 	}
-	return out
+	return acc
 }
 
 // StorageGrid is the Figure-1 sweep of local storage fractions.

@@ -21,7 +21,7 @@ import (
 // busiest site, a permanently limping second site, a control-partitioned
 // third — then proves the integrity layer catches every injected corruption
 // (at fetch time or within one scrub cycle) and the latency-aware
-// supervisor flags both gray sites.
+// probe loop flags both gray sites.
 const (
 	// ScrubRotCount is the number of stored replicas rotted on the rot site
 	// (capped by how many replicas the plan actually stores there).
@@ -76,10 +76,10 @@ type ScrubRun struct {
 	// after repair (must be 0).
 	Residual          int
 	PostRepairCorrupt int
-	// Undetected is Injected minus the scrubber's findings: the integrity
+	// Undetected is Injected minus the scrub walk's findings: the integrity
 	// violations nothing caught. The acceptance bar is exactly 0.
 	Undetected int
-	// LimpDetected / PartDetected report the supervisor walked the limping
+	// LimpDetected / PartDetected report the probe loop walked the limping
 	// and partitioned sites to Down within the soak's detection window.
 	LimpDetected bool
 	PartDetected bool
@@ -116,7 +116,7 @@ func scrubConfig() workload.Config {
 // on the third; sweep every page with a verifying client (breaker and
 // hedging off so degradations are a pure function of the rot set); run two
 // scrub cycles (find-and-repair, then verify-clean); sweep again post-
-// repair; and finally let the latency-aware supervisor demote both gray
+// repair; and finally let the latency-aware probe loop demote both gray
 // sites. The report proves the acceptance bar — zero undetected integrity
 // violations, detection bounded by one scrub cycle — and contains only
 // seed-derived counts, so same-seed soaks render byte-identical reports.
@@ -142,7 +142,7 @@ func Scrub(opts Options) (*ScrubResult, error) {
 
 		// Rot a seeded sample of the replicas the plan stores on the rot
 		// site: every injected corruption is a stored replica, so the
-		// scrubber's full walk is obligated to find each one.
+		// scrub loop's full walk is obligated to find each one.
 		stored := p.StoredSet(rotSite).Members()
 		rotCount := ScrubRotCount
 		if rotCount > len(stored) {
@@ -208,17 +208,28 @@ func Scrub(opts Options) (*ScrubResult, error) {
 
 		// Phase 2: anti-entropy. Cycle 1 finds and repairs every rotted
 		// replica; cycle 2 proves the store verifies clean.
-		scrubber := controller.NewScrubber(penv, cluster, controller.ScrubOptions{
-			Metrics: cluster.Metrics,
+		rec, err := controller.New(penv, p, cluster, nil, controller.HealLoop|controller.ScrubLoop, controller.Options{
+			ProbeInterval: ScrubProbeInterval,
+			// Generous: the limping site must answer 200 (slow), not time
+			// out — only then is its demotion the EWMA signal's doing.
+			ProbeTimeout:     time.Second,
+			FailThreshold:    ScrubFailThreshold,
+			OKThreshold:      ScrubOKThreshold,
+			LatencyThreshold: ScrubLatencyThreshold,
+			Workers:          env.planWorkers,
+			Metrics:          cluster.Metrics,
 		})
-		cycle1, err := scrubber.RunCycle()
+		if err != nil {
+			return err
+		}
+		cycle1, err := rec.ScrubNow()
 		if err != nil {
 			return err
 		}
 		run.ScrubDetected = len(cycle1.Corrupt)
 		run.RepairBytes = cycle1.RepairBytes
 		run.Undetected = run.Injected - run.ScrubDetected
-		cycle2, err := scrubber.RunCycle()
+		cycle2, err := rec.ScrubNow()
 		if err != nil {
 			return err
 		}
@@ -233,26 +244,16 @@ func Scrub(opts Options) (*ScrubResult, error) {
 
 		// Phase 4: gray-failure health. The limping site answers every
 		// probe 200 but over the latency threshold; the partitioned site is
-		// unreachable to the supervisor while still serving clients. Both
+		// unreachable to the probe loop while still serving clients. Both
 		// must walk to Down.
-		sup := controller.New(penv, p, cluster, controller.Options{
-			ProbeInterval: ScrubProbeInterval,
-			// Generous: the limping site must answer 200 (slow), not time
-			// out — only then is its demotion the EWMA signal's doing.
-			ProbeTimeout:     time.Second,
-			FailThreshold:    ScrubFailThreshold,
-			OKThreshold:      ScrubOKThreshold,
-			LatencyThreshold: ScrubLatencyThreshold,
-			Workers:          env.planWorkers,
-		})
-		sup.Start()
-		run.LimpDetected = sup.WaitFor(func(states []controller.SiteState) bool {
+		rec.Start(controller.HealLoop)
+		run.LimpDetected = rec.WaitFor(func(states []controller.SiteState) bool {
 			return states[limpSite] == controller.Down
 		}, ScrubDetectTimeout)
-		run.PartDetected = sup.WaitFor(func(states []controller.SiteState) bool {
+		run.PartDetected = rec.WaitFor(func(states []controller.SiteState) bool {
 			return states[partSite] == controller.Down
 		}, ScrubDetectTimeout)
-		sup.Stop()
+		rec.Stop()
 
 		runs[r] = run
 		opts.progressf("scrub run %d: rot site %d (%d replicas) — fetch-detected %d, scrub-detected %d, repaired %s, residual %d, undetected %d, limp %v, partition %v",

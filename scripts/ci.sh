@@ -85,11 +85,14 @@ stage_chaos() {
 }
 
 # The self-healing control plane end to end under the race detector:
-# repair-plan determinism at several worker counts, the supervisor state
-# machine, the heal-under-kill acceptance path, the circuit breaker, and
-# the jitter stream isolation.
+# repair-plan determinism at several worker counts, the probe state
+# machine, the heal-under-kill acceptance path, the composed reconciler
+# (all three loops on one cluster, step-driven and as a live kill/restart
+# soak repeated five times), the circuit breaker, and the jitter stream
+# isolation.
 stage_heal() {
     go test -race -count=1 ./internal/repair/ ./internal/controller/
+    go test -race -count=5 -run 'TestReconcilerComposedInvariants|TestReconcilerSoakKillRestart' ./internal/controller/
     go test -race -count=1 -run 'Breaker|Jitter|KillSiteRaces|Recovery' \
         ./internal/webserve/ ./internal/experiments/
 }
@@ -97,7 +100,7 @@ stage_heal() {
 # The adaptive planning loop under the race detector: the streaming
 # estimator (concurrent tap ingestion, snapshot determinism, the count-min
 # sketch), the drift detector's hysteresis, the access-log taps on the live
-# server and the simulator, the adapter's delta-only shipping, and the
+# server and the simulator, the reconciler's delta-only re-plan shipping, and the
 # flash-crowd study's tracking + bit-reproducibility pins.
 stage_adapt() {
     go test -race -count=1 ./internal/estimate/
@@ -110,7 +113,7 @@ stage_adapt() {
 # self-verifying payload codec (round-trip, provenance, forged-checksum
 # rejection), the gray-failure modes (rot, limping, partial partitions),
 # checksum-mismatch-is-retryable on the client, hedged requests, the
-# latency-aware supervisor, the scrubber's find/repair/converge loop with
+# latency-aware probe loop, the scrub loop's find/repair/converge cycle with
 # its chaos soak, and the scrub study's acceptance + reproducibility pins.
 stage_scrub() {
     go test -race -count=1 -run 'Payload|Verify|Corrupt|Rot|Limp|Partition|Gray|Hedge|Scrub|Latency' \
@@ -121,7 +124,8 @@ stage_scrub() {
 # The overload-robustness surface end to end under the race detector: the
 # admission primitives (CoDel sojourn control, AIMD concurrency limits,
 # retry budgets, brownout tiers), the 429 + Retry-After and deadline-
-# propagation paths through the live cluster, half-open breaker concurrency,
+# propagation paths through the live cluster, the probe loop treating a 429
+# shed as alive, half-open breaker concurrency,
 # hedge-leg shutdown hygiene, the flash-crowd load-spike plans, and the
 # metastable-failure study's acceptance + bit-reproducibility pins.
 stage_overload() {
