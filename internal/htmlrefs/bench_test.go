@@ -62,3 +62,33 @@ func BenchmarkBuildRefDB(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRefDBRebuild measures one site's plan refresh. reuse alternates
+// two placements over the same pages, so every parsed document is kept and
+// only the decisions are rewritten; new alternates the repository base, so
+// every page is rendered, parsed and validated again.
+func BenchmarkRefDBRebuild(b *testing.B) {
+	w := benchWorkload(b)
+	plans := []*model.Placement{model.AllLocal(w), model.AllRemote(w)}
+	for _, c := range []struct {
+		name  string
+		bases []string
+	}{
+		{"reuse", []string{"http://repo.example", "http://repo.example"}},
+		{"new", []string{"http://repo.example", "http://repo2.example"}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			db, err := BuildRefDB(w, 0, plans[0], c.bases[0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := db.Rebuild(w, plans[(i+1)%2], c.bases[(i+1)%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -10,7 +10,8 @@
 package htmlrefs
 
 import (
-	"fmt"
+	"bytes"
+	"math"
 	"strconv"
 	"strings"
 
@@ -67,24 +68,54 @@ func ParsePagePath(path string) (workload.PageID, bool) {
 // repository (repoBase, e.g. "http://repo.example.com") — the form pages
 // have *before* the serving-time rewrite. Filler prose pads the document to
 // approximately the page's HTMLSize.
+//
+// The document is a function of j, the page's Site, its Compulsory
+// objects, the objects of its Optional links, its HTMLSize and repoBase,
+// nothing else: the reference database reuses a parsed document while
+// exactly these inputs are unchanged (parsedPage.rendersAs), so a new input
+// here must join that check.
 func RenderPage(w *workload.Workload, j workload.PageID, repoBase string) []byte {
 	pg := &w.Pages[j]
 	var b strings.Builder
-	fmt.Fprintf(&b, "<!DOCTYPE html>\n<html>\n<head><title>W%d</title></head>\n<body>\n", j)
-	fmt.Fprintf(&b, "<h1>Page W%d (site S%d)</h1>\n", j, pg.Site)
+	b.Grow(int(pg.HTMLSize) + 256 + (len(pg.Compulsory)+len(pg.Optional))*(len(repoBase)+64))
+	b.WriteString("<!DOCTYPE html>\n<html>\n<head><title>W")
+	writeInt(&b, int(j))
+	b.WriteString("</title></head>\n<body>\n<h1>Page W")
+	writeInt(&b, int(j))
+	b.WriteString(" (site S")
+	writeInt(&b, int(pg.Site))
+	b.WriteString(")</h1>\n")
 	for _, k := range pg.Compulsory {
-		fmt.Fprintf(&b, "<img src=\"%s%s\" alt=\"M%d\">\n", repoBase, MOPath(k), k)
+		b.WriteString("<img src=\"")
+		b.WriteString(repoBase)
+		b.WriteString(MOPathPrefix)
+		writeInt(&b, int(k))
+		b.WriteString("\" alt=\"M")
+		writeInt(&b, int(k))
+		b.WriteString("\">\n")
 	}
 	if len(pg.Optional) > 0 {
 		b.WriteString("<ul>\n")
 		for _, l := range pg.Optional {
-			fmt.Fprintf(&b, "<li><a href=\"%s%s\">optional M%d</a></li>\n", repoBase, MOPath(l.Object), l.Object)
+			b.WriteString("<li><a href=\"")
+			b.WriteString(repoBase)
+			b.WriteString(MOPathPrefix)
+			writeInt(&b, int(l.Object))
+			b.WriteString("\">optional M")
+			writeInt(&b, int(l.Object))
+			b.WriteString("</a></li>\n")
 		}
 		b.WriteString("</ul>\n")
 	}
 	pad(&b, pg.HTMLSize)
 	b.WriteString("</body>\n</html>\n")
 	return []byte(b.String())
+}
+
+// writeInt appends n in decimal.
+func writeInt(b *strings.Builder, n int) {
+	var num [20]byte
+	b.Write(strconv.AppendInt(num[:0], int64(n), 10))
 }
 
 // pad appends filler paragraphs until the document reaches target bytes
@@ -109,37 +140,43 @@ type Ref struct {
 // ParseRefs scans an HTML document for MO references. It is a small,
 // purpose-built scanner (stdlib only): it walks tags, finds src/href
 // attribute values whose path component matches /mo/<id>, and classifies
-// <img>/<embed>/<source> as compulsory and <a> as optional. Offsets index
-// into the original byte slice so rewrites can splice in place.
+// <img>/<embed>/<source> as compulsory and <a> as optional. Tag and
+// attribute names match ASCII case-insensitively, in place. Offsets index
+// into the original byte slice so rewrites can splice in place; references
+// come back in document order. The only allocation is the result slice.
+//
+//repllint:hotpath — runs on every page a client fetches
 func ParseRefs(doc []byte) []Ref {
 	var refs []Ref
 	i := 0
 	for i < len(doc) {
-		lt := indexByteFrom(doc, '<', i)
+		lt := bytes.IndexByte(doc[i:], '<')
 		if lt < 0 {
 			break
 		}
-		gt := indexByteFrom(doc, '>', lt)
+		lt += i
+		gt := bytes.IndexByte(doc[lt:], '>')
 		if gt < 0 {
 			break
 		}
+		gt += lt
 		tag := doc[lt+1 : gt]
-		name, attrs := splitTag(tag)
+		n := tagNameLen(tag)
+		name := tag[:n]
 		var wantAttr string
 		var optional bool
-		switch strings.ToLower(name) {
-		case "img", "embed", "source":
+		switch {
+		case foldEqual(name, "img"), foldEqual(name, "embed"), foldEqual(name, "source"):
 			wantAttr = "src"
-		case "a":
+		case foldEqual(name, "a"):
 			wantAttr = "href"
 			optional = true
 		}
 		if wantAttr != "" {
-			if start, end, ok := findAttrValue(attrs, wantAttr); ok {
-				absStart := lt + 1 + len(name) + start
-				absEnd := lt + 1 + len(name) + end
-				url := string(doc[absStart:absEnd])
-				if k, ok := parseMOURL(url); ok {
+			if start, end, ok := findAttrValue(tag[n:], wantAttr); ok {
+				absStart := lt + 1 + n + start
+				absEnd := lt + 1 + n + end
+				if k, ok := parseMOURL(doc[absStart:absEnd]); ok {
 					refs = append(refs, Ref{Object: k, Optional: optional, Start: absStart, End: absEnd})
 				}
 			}
@@ -149,69 +186,88 @@ func ParseRefs(doc []byte) []Ref {
 	return refs
 }
 
-func indexByteFrom(b []byte, c byte, from int) int {
-	for i := from; i < len(b); i++ {
-		if b[i] == c {
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// tagNameLen returns the length of a tag's name: everything up to the first
+// whitespace, which starts the attribute section.
+func tagNameLen(tag []byte) int {
+	for i, c := range tag {
+		if isSpace(c) {
 			return i
 		}
 	}
-	return -1
+	return len(tag)
 }
 
-// splitTag separates a tag's name from its attribute section.
-func splitTag(tag []byte) (name string, attrs []byte) {
-	for i, c := range tag {
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			return string(tag[:i]), tag[i:]
+// foldEqual reports whether b equals lower, a lower-case ASCII word, under
+// ASCII case folding.
+func foldEqual(b []byte, lower string) bool {
+	if len(b) != len(lower) {
+		return false
+	}
+	for i := range b {
+		if b[i]|0x20 != lower[i] {
+			return false
 		}
 	}
-	return string(tag), nil
+	return true
 }
 
-// findAttrValue locates attr="value" inside an attribute section and
-// returns the value's byte range relative to the section start.
+// findAttrValue locates attr="value" inside an attribute section — attr
+// (lower case) matched case-insensitively and preceded by whitespace, not
+// part of a longer name — and returns the value's byte range relative to
+// the section start.
 func findAttrValue(attrs []byte, attr string) (start, end int, ok bool) {
-	lower := strings.ToLower(string(attrs))
-	needle := attr + "=\""
-	pos := 0
-	for {
-		idx := strings.Index(lower[pos:], needle)
-		if idx < 0 {
-			return 0, 0, false
+	n := len(attr)
+	for eq := n; eq+1 < len(attrs); eq++ {
+		if attrs[eq] != '=' || attrs[eq+1] != '"' || !foldEqual(attrs[eq-n:eq], attr) {
+			continue
 		}
-		idx += pos
-		// Must be preceded by whitespace (not part of a longer name).
-		if idx > 0 {
-			prev := lower[idx-1]
-			if prev != ' ' && prev != '\t' && prev != '\n' && prev != '\r' {
-				pos = idx + 1
-				continue
-			}
+		if eq > n && !isSpace(attrs[eq-n-1]) {
+			continue
 		}
-		valStart := idx + len(needle)
-		valEnd := strings.IndexByte(lower[valStart:], '"')
+		valStart := eq + 2
+		valEnd := bytes.IndexByte(attrs[valStart:], '"')
 		if valEnd < 0 {
 			return 0, 0, false
 		}
 		return valStart, valStart + valEnd, true
 	}
+	return 0, 0, false
 }
 
-// parseMOURL extracts the object ID from an absolute or relative MO URL.
-func parseMOURL(url string) (workload.ObjectID, bool) {
-	idx := strings.Index(url, MOPathPrefix)
-	if idx < 0 {
+// parseMOURL extracts the object ID from an absolute or relative MO URL:
+// anything may precede the first /mo/, and the remainder must be a
+// non-negative decimal integer (an optional sign, as strconv.Atoi takes
+// it).
+func parseMOURL[T string | []byte](url T) (workload.ObjectID, bool) {
+	for i := 0; i+len(MOPathPrefix) <= len(url); i++ {
+		if string(url[i:i+len(MOPathPrefix)]) == MOPathPrefix {
+			return parseID(url[i+len(MOPathPrefix):])
+		}
+	}
+	return 0, false
+}
+
+// parseID parses a non-negative decimal int without allocating.
+func parseID[T string | []byte](s T) (workload.ObjectID, bool) {
+	neg := false
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		neg = s[0] == '-'
+		s = s[1:]
+	}
+	if len(s) == 0 {
 		return 0, false
 	}
-	// Nothing after the host part may precede the path except the scheme
-	// and host themselves; accept any prefix and require the remainder to
-	// be digits.
-	rest := url[idx+len(MOPathPrefix):]
-	if rest == "" {
-		return 0, false
+	var id uint64
+	for i := 0; i < len(s); i++ {
+		d := uint64(s[i] - '0')
+		if d > 9 || id > (math.MaxInt-d)/10 {
+			return 0, false
+		}
+		id = id*10 + d
 	}
-	id, err := strconv.Atoi(rest)
-	if err != nil || id < 0 {
+	if neg && id != 0 {
 		return 0, false
 	}
 	return workload.ObjectID(id), true

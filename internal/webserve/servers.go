@@ -151,7 +151,12 @@ type LocalServer struct {
 
 	mu        sync.RWMutex
 	placement *model.Placement
-	base      string // this server's external base URL, set once serving
+	// prev is the placement the last ApplyPlan replaced, kept until the
+	// next one so documents rendered under it still find their replicas;
+	// nil after ApplyPlacement.
+	prev *model.Placement
+	pw   *workload.Workload // the page assignment db reflects
+	base string             // this server's external base URL, set once serving
 
 	pageHits  sync.Map // workload.PageID -> *atomic.Int64
 	moHits    atomic.Int64
@@ -179,7 +184,7 @@ func NewLocalServer(w *workload.Workload, site workload.SiteID, p *model.Placeme
 	if err != nil {
 		return nil, err
 	}
-	return &LocalServer{w: w, site: site, db: db, repoBase: repoBase, placement: p}, nil
+	return &LocalServer{w: w, site: site, db: db, repoBase: repoBase, placement: p, pw: w}, nil
 }
 
 // SetBase records the server's external base URL (e.g. http://127.0.0.1:
@@ -201,31 +206,37 @@ func (s *LocalServer) Base() string {
 // ApplyPlacement swaps in a new placement (a plan refresh): the reference
 // database and the replica set update atomically with respect to readers.
 func (s *LocalServer) ApplyPlacement(p *model.Placement) error {
-	if err := s.db.ApplyPlacement(s.w, p); err != nil {
+	s.mu.RLock()
+	pw := s.pw
+	s.mu.RUnlock()
+	g, err := s.db.Prepare(pw, p, s.repoBase)
+	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.placement = p
-	s.mu.Unlock()
+	s.adopt(g, pw, p, false)
 	return nil
 }
 
-// Rehome adopts a repair (or recovery) plan: the reference database is
-// rebuilt against w2's page assignment for this site — gaining or losing
-// pages relative to construction time — and the plan's placement governs
-// the replica set from here on. w2 must index objects and sites identically
-// to the construction workload, which repair.Compute's re-homed clones do;
-// the server's own workload pointer is deliberately NOT swapped (ServeHTTP
-// reads it lock-free, and only its object table — identical across the
-// clones — matters there).
-func (s *LocalServer) Rehome(w2 *workload.Workload, p *model.Placement) error {
-	if err := s.db.Rebuild(w2, p, s.repoBase); err != nil {
-		return err
-	}
+// adopt publishes a prepared reference database and its placement, make
+// before break: the new replica set joins the old one before any new
+// document can point at it, then the documents swap (pages the site no
+// longer hosts stay servable until the next commit). With keepOld the
+// replicas only the old placement stored also stay until the next adopt;
+// without it they go once the new documents are in. pw is the workload
+// whose page assignment g was prepared from; the server's own workload
+// pointer is deliberately NOT swapped (ServeHTTP reads it lock-free, and
+// only its object table — identical across repair's re-homed clones —
+// matters there).
+func (s *LocalServer) adopt(g *htmlrefs.Generation, pw *workload.Workload, p *model.Placement, keepOld bool) {
 	s.mu.Lock()
-	s.placement = p
+	s.prev, s.placement, s.pw = s.placement, p, pw
 	s.mu.Unlock()
-	return nil
+	s.db.Commit(g)
+	if !keepOld {
+		s.mu.Lock()
+		s.prev = nil
+		s.mu.Unlock()
+	}
 }
 
 // Site returns the server's site ID.
@@ -301,7 +312,7 @@ func (s *LocalServer) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 			return
 		}
 		s.mu.RLock()
-		stored := s.placement.IsStored(s.site, k)
+		stored := s.placement.IsStored(s.site, k) || s.prev != nil && s.prev.IsStored(s.site, k)
 		s.mu.RUnlock()
 		if !stored {
 			// A miss here means a client asked for an unreplicated object —
@@ -356,6 +367,8 @@ type Cluster struct {
 
 	start           time.Time
 	shutdownTimeout time.Duration
+
+	applyMu sync.Mutex // serializes ApplyPlan
 
 	mu           sync.Mutex
 	repoSrv      *http.Server
@@ -663,21 +676,38 @@ func (c *Cluster) Close() error {
 }
 
 // ApplyPlan pushes a repaired (or recovered) placement into the running
-// cluster: every live site's server rebuilds its reference database against
-// the plan's workload and adopts the new replica set, and the routing table
-// updates so PageURL sends clients to each page's current host — all
-// without restarting a single server. The cluster's construction workload
-// is untouched; routing state lives entirely in the table, so reapplying
-// the original (env.W, placement) pair is a full recovery.
+// cluster: every site's server adopts its reference database and replica
+// set under the plan's workload, and the routing table updates so PageURL
+// sends clients to each page's current host — all without restarting a
+// single server. The cluster's construction workload is untouched; routing
+// state lives entirely in the table, so reapplying the original (env.W,
+// placement) pair is a full recovery.
+//
+// The apply is all or nothing and make before break. Every site's database
+// is prepared first, reusing the parsed documents of pages whose render
+// inputs are unchanged; any failure returns with nothing published. Then
+// every site takes on its gaining pages and new replicas while keeping the
+// old plan's, and only then does the routing table switch. A site drops
+// what it lost at the next ApplyPlan, so a client that resolved a route or
+// fetched a document just before the switch still completes against the
+// old plan.
 func (c *Cluster) ApplyPlan(w2 *workload.Workload, p *model.Placement) error {
 	if w2.NumPages() != c.W.NumPages() || w2.NumSites() != c.W.NumSites() {
 		return fmt.Errorf("webserve: plan shaped for a different workload (%d/%d pages, %d/%d sites)",
 			w2.NumPages(), c.W.NumPages(), w2.NumSites(), c.W.NumSites())
 	}
-	for _, ls := range c.Sites {
-		if err := ls.Rehome(w2, p); err != nil {
-			return err
+	c.applyMu.Lock()
+	defer c.applyMu.Unlock()
+	gens := make([]*htmlrefs.Generation, len(c.Sites))
+	for i, ls := range c.Sites {
+		g, err := ls.db.Prepare(w2, p, ls.repoBase)
+		if err != nil {
+			return fmt.Errorf("webserve: site %d: %w", i, err)
 		}
+		gens[i] = g
+	}
+	for i, ls := range c.Sites {
+		ls.adopt(gens[i], w2, p, true)
 	}
 	routes := make([]workload.SiteID, w2.NumPages())
 	for j := range w2.Pages {

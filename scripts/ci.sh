@@ -88,11 +88,15 @@ stage_chaos() {
 # repair-plan determinism at several worker counts, the probe state
 # machine, the heal-under-kill acceptance path, the composed reconciler
 # (all three loops on one cluster, step-driven and as a live kill/restart
-# soak repeated five times), the circuit breaker, and the jitter stream
-# isolation.
+# soak repeated five times), the live plan switch (make-before-break
+# ApplyPlan under fetch load, and incremental reference-database rebuilds
+# matching fresh builds, both repeated five times), the circuit breaker,
+# and the jitter stream isolation.
 stage_heal() {
     go test -race -count=1 ./internal/repair/ ./internal/controller/
     go test -race -count=5 -run 'TestReconcilerComposedInvariants|TestReconcilerSoakKillRestart' ./internal/controller/
+    go test -race -count=5 -run 'TestApplyPlanMakeBeforeBreak|TestApplyPlanAllOrNothing' ./internal/webserve/
+    go test -race -count=5 -run 'TestRebuildMatchesFreshBuild' ./internal/htmlrefs/
     go test -race -count=1 -run 'Breaker|Jitter|KillSiteRaces|Recovery' \
         ./internal/webserve/ ./internal/experiments/
 }
