@@ -101,7 +101,7 @@ func NewServer(cfg Config, clock func() time.Duration, m Metrics) *Server {
 		other:  NewEndpoint(cfg),
 		brown:  NewBrownout(cfg),
 		m:      m,
-		jitter: rng.New(cfg.Seed).Split(retryAfterStream),
+		jitter: rng.New(rng.SplitSeed(cfg.Seed, retryAfterStream)),
 	}
 }
 

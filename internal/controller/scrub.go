@@ -40,8 +40,9 @@ type ScrubCycle struct {
 	RepairBytes units.ByteSize
 }
 
-// fetch retrieves one replica's bytes from the site at base.
-func (r *Reconciler) fetch(base string, k workload.ObjectID) ([]byte, error) {
+// fetch retrieves one replica's bytes from the site at base, preallocating
+// at most object k's size under w.
+func (r *Reconciler) fetch(w *workload.Workload, base string, k workload.ObjectID) ([]byte, error) {
 	resp, err := r.fetcher.Get(base + htmlrefs.MOPath(k))
 	if err != nil {
 		return nil, err
@@ -51,7 +52,7 @@ func (r *Reconciler) fetch(base string, k workload.ObjectID) ([]byte, error) {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil, fmt.Errorf("scrub: GET %s%s: %s", base, htmlrefs.MOPath(k), resp.Status)
 	}
-	return io.ReadAll(resp.Body)
+	return webserve.ReadBody(resp, int64(w.ObjectSize(k)))
 }
 
 // ScrubNow runs one anti-entropy pass. The walk runs outside the lock:
@@ -79,7 +80,7 @@ func (r *Reconciler) ScrubNow() (*ScrubCycle, error) {
 			k := workload.ObjectID(ki)
 			out.Checked++
 			r.cObjects.Inc()
-			data, err := r.fetch(base, k)
+			data, err := r.fetch(w, base, k)
 			if err != nil {
 				out.Errors++
 				r.cErrors.Inc()
@@ -145,7 +146,7 @@ func (r *Reconciler) repairFindings(out *ScrubCycle) error {
 		r.cluster.ClearRot(int(f.Site), f.Object)
 	}
 	for _, f := range fixes {
-		data, err := r.fetch(r.cluster.SiteBases[f.Site], f.Object)
+		data, err := r.fetch(env.W, r.cluster.SiteBases[f.Site], f.Object)
 		if err != nil {
 			return fmt.Errorf("scrub: re-verify fetch site %d object %d: %w", f.Site, f.Object, err)
 		}

@@ -16,7 +16,7 @@ const sketchRowStream uint64 = 2
 // seed; a pure function of (seed, site), so sites stay independent and the
 // whole estimator is reproducible from Config.SketchSeed.
 func siteSketchSeed(seed uint64, site int) uint64 {
-	return rng.New(seed).Split(sketchSiteStream, uint64(site)).Seed()
+	return rng.SplitSeed(seed, sketchSiteStream, uint64(site))
 }
 
 // Sketch is a count-min sketch over exponentially-decayed counts: depth

@@ -26,7 +26,7 @@ func Table1(opts Options) (*workload.Summary, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	wSeed := rng.New(opts.Seed).Split(runWorkloadStream, table1Run).Seed()
+	wSeed := rng.SplitSeed(opts.Seed, runWorkloadStream, table1Run)
 	w, err := workload.Generate(opts.Workload, wSeed)
 	if err != nil {
 		return nil, err

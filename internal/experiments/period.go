@@ -52,7 +52,7 @@ func PeriodStudy(opts Options) (*stats.Figure, error) {
 		simulate := func(w *workload.Workload, p *model.Placement, epoch int) (float64, error) {
 			cfg := env.simCfg
 			res, err := httpsim.Run(w, env.est, policies.NewStatic("p", p), cfg,
-				rng.New(env.simSeed).Split(uint64(epoch)))
+				rng.New(rng.SplitSeed(env.simSeed, uint64(epoch))))
 			if err != nil {
 				return 0, err
 			}

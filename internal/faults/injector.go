@@ -126,7 +126,7 @@ func (in *Injector) RotCount() int {
 // a pure function of (injector seed, k), so a rotted replica serves the
 // *same* wrong bytes on every read, exactly like on-disk bit-rot.
 func (in *Injector) RotFlip(k int) (frac float64, mask byte) {
-	s := rng.New(in.seed).Split(rotFlipStream, uint64(k))
+	s := rng.New(rng.SplitSeed(in.seed, rotFlipStream, uint64(k)))
 	frac = s.Float64()
 	mask = byte(s.IntN(255) + 1) // never zero: the flip must change the byte
 	return frac, mask

@@ -15,7 +15,7 @@ func (p *Plan) RepoInjector() *Injector {
 	if p == nil {
 		return nil
 	}
-	return NewInjector(p.Repo, rng.New(p.Seed).Split(injRepoStream).Seed())
+	return NewInjector(p.Repo, rng.SplitSeed(p.Seed, injRepoStream))
 }
 
 // SiteInjector builds site i's injector, seeded from the plan. Returns nil
@@ -24,5 +24,5 @@ func (p *Plan) SiteInjector(i int) *Injector {
 	if p == nil {
 		return nil
 	}
-	return NewInjector(p.SiteSpec(i), rng.New(p.Seed).Split(injSiteStream, uint64(i)).Seed())
+	return NewInjector(p.SiteSpec(i), rng.SplitSeed(p.Seed, injSiteStream, uint64(i)))
 }

@@ -8,16 +8,16 @@ import (
 )
 
 // RNGStreamAnalyzer enforces the stream-label discipline around
-// rng.Stream.Split. Split derives child seeds purely from (seed, labels...),
-// so labels ARE the namespace: a magic literal is impossible to audit for
-// collisions, and two distinct named constants with the same value silently
-// alias two streams that were meant to be independent — correlated draws
-// that no property test will catch. Every label must therefore be a named
+// rng.Stream.Split and rng.SplitSeed. Both derive child seeds purely from
+// (seed, labels...), so labels ARE the namespace: a magic literal is
+// impossible to audit for collisions, and two distinct named constants with
+// the same value silently alias two streams that were meant to be
+// independent — correlated draws that no property test will catch. Every label must therefore be a named
 // constant (or a runtime value such as a loop index), and the named label
 // constants used within one package must be pairwise distinct.
 var RNGStreamAnalyzer = &Analyzer{
 	Name: "rng-stream",
-	Doc: "rng.Stream.Split labels must be named constants (never numeric literals), " +
+	Doc: "rng.Stream.Split and rng.SplitSeed labels must be named constants (never numeric literals), " +
 		"and label constants within a package must not collide",
 	Run: runRNGStream,
 }
@@ -34,10 +34,11 @@ func runRNGStream(p *Pass) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !isStreamSplit(p, sel) {
+			if !ok {
 				return true
 			}
-			for _, arg := range call.Args {
+			args := splitLabels(p, sel, call.Args)
+			for _, arg := range args {
 				expr := unwrapConversions(p, arg)
 				switch e := expr.(type) {
 				case *ast.BasicLit:
@@ -88,24 +89,37 @@ func runRNGStream(p *Pass) {
 	}
 }
 
-// isStreamSplit reports whether sel resolves to the Split method of
-// rng.Stream (keyed on package name + receiver type name so the testdata
-// fixture rng package matches too).
-func isStreamSplit(p *Pass, sel *ast.SelectorExpr) bool {
+// splitLabels returns the stream-label arguments of a call through sel:
+// all of them for the Split method of rng.Stream, all but the leading seed
+// for the package function rng.SplitSeed, none for any other callee. Both
+// are keyed on package name (+ receiver type name) so the testdata fixture
+// rng package matches too.
+func splitLabels(p *Pass, sel *ast.SelectorExpr, args []ast.Expr) []ast.Expr {
 	fn, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Name() != "Split" || fn.Pkg() == nil || fn.Pkg().Name() != "rng" {
-		return false
+	if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "rng" {
+		return nil
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
+	if !ok {
+		return nil
+	}
+	if sig.Recv() == nil {
+		if fn.Name() != "SplitSeed" || len(args) == 0 {
+			return nil
+		}
+		return args[1:]
+	}
+	if fn.Name() != "Split" {
+		return nil
 	}
 	recv := sig.Recv().Type()
 	if ptr, ok := recv.(*types.Pointer); ok {
 		recv = ptr.Elem()
 	}
-	named, ok := recv.(*types.Named)
-	return ok && named.Obj().Name() == "Stream"
+	if named, ok := recv.(*types.Named); !ok || named.Obj().Name() != "Stream" {
+		return nil
+	}
+	return args
 }
 
 // unwrapConversions strips parens and type conversions (uint64(x) etc.) so

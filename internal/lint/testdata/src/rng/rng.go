@@ -1,7 +1,7 @@
 // Package rng is a minimal stand-in for repro/internal/rng so the lint
 // fixtures type-check without pulling in the real module. The rng-stream
 // analyzer keys on the package name ("rng"), the receiver type name
-// ("Stream"), and the method name ("Split"), all of which match.
+// ("Stream"), and the names Split and SplitSeed, all of which match.
 package rng
 
 // Stream mirrors the real deterministic stream type.
@@ -17,6 +17,14 @@ func (s *Stream) Split(labels ...uint64) *Stream {
 		child ^= l
 	}
 	return &Stream{seed: child}
+}
+
+// SplitSeed mirrors the real seed-only derivation.
+func SplitSeed(seed uint64, labels ...uint64) uint64 {
+	for _, l := range labels {
+		seed ^= l
+	}
+	return seed
 }
 
 // IntN exists so fixtures can consume a stream.

@@ -1,4 +1,4 @@
-// rng-stream fixture: Split labels must be named constants, and named
+// rng-stream fixture: Split and SplitSeed labels must be named constants, and named
 // label constants must not alias one another.
 package rngsplit
 
@@ -20,4 +20,6 @@ func Use(i int) {
 	_ = root.Split(labelA)
 	_ = root.Split(labelB, uint64(i))
 	_ = root.Split(aliasA) // want "rng-stream: stream label constants aliasA, labelA all equal 1"
+	_ = rng.SplitSeed(7, labelB, uint64(i))
+	_ = rng.SplitSeed(7, 3) // want "rng-stream: .*label 3 is a numeric literal"
 }

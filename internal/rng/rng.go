@@ -30,11 +30,18 @@ func (s *Stream) Seed() uint64 { return s.seed }
 // consume state from the parent, so the order in which children are created
 // or used cannot perturb sibling streams.
 func (s *Stream) Split(labels ...uint64) *Stream {
-	seed := s.seed
+	return New(SplitSeed(s.seed, labels...))
+}
+
+// SplitSeed is the seed Split derives: rng.New(seed).Split(labels...) and
+// rng.New(SplitSeed(seed, labels...)) are the same stream. It seeds no
+// generator, so deriving a child from a bare seed costs a few multiplies
+// instead of seeding the parent's discarded math/rand source.
+func SplitSeed(seed uint64, labels ...uint64) uint64 {
 	for _, l := range labels {
 		seed = mix(seed ^ mix(l+0x9e3779b97f4a7c15))
 	}
-	return New(seed)
+	return seed
 }
 
 // mix is the SplitMix64 finalizer: a bijective avalanche over uint64.

@@ -257,7 +257,7 @@ func NewTracer(buf *Buffer, seed uint64, kind string) *Tracer {
 	}
 	return &Tracer{
 		buf:   buf,
-		ids:   NewIDGen(rng.New(seed).Split(idStream)),
+		ids:   NewIDGen(rng.New(rng.SplitSeed(seed, idStream))),
 		epoch: time.Now(),
 		kind:  kind,
 	}

@@ -197,6 +197,9 @@ type Client struct {
 	// Verification failures (corrupt or truncated bodies) count as request
 	// failures and are retried.
 	Verify bool
+	// maxBody bounds the buffer a declared Content-Length may preallocate:
+	// the workload's largest object or page document.
+	maxBody int64
 
 	// jitter drives backoff randomization, breakerJitter the breaker's
 	// cooldown spread, and hedgeJitter the hedge-delay spread; guarded by
@@ -316,11 +319,17 @@ func NewClientOptions(w *workload.Workload, opts ClientOptions) *Client {
 				MaxIdleConnsPerHost: 4,
 			},
 		},
-		jitter:        rng.New(opts.JitterSeed).Split(clientBackoffStream),
-		breakerJitter: rng.New(opts.JitterSeed).Split(clientBreakerStream),
-		hedgeJitter:   rng.New(opts.JitterSeed).Split(clientHedgeStream),
+		jitter:        rng.New(rng.SplitSeed(opts.JitterSeed, clientBackoffStream)),
+		breakerJitter: rng.New(rng.SplitSeed(opts.JitterSeed, clientBreakerStream)),
+		hedgeJitter:   rng.New(rng.SplitSeed(opts.JitterSeed, clientHedgeStream)),
 		breakers:      make(map[string]*hostBreaker),
 		tracer:        opts.Trace,
+	}
+	for k := range w.Objects {
+		c.maxBody = max(c.maxBody, int64(w.Objects[k].Size))
+	}
+	for j := range w.Pages {
+		c.maxBody = max(c.maxBody, int64(w.Pages[j].HTMLSize))
 	}
 	if reg := opts.Metrics; reg != nil {
 		c.cRetries = reg.Counter("client.retries")
@@ -365,6 +374,8 @@ func (c *Client) Options() ClientOptions { return c.opts }
 // page deadline lapsing) aborts the request mid-flight. The response
 // headers are returned alongside the body so callers can observe serving
 // degradation (brownout tier).
+//
+//repllint:hotpath — one call per object or page request
 func (c *Client) get(ctx context.Context, url, traceHdr string) ([]byte, http.Header, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -388,8 +399,24 @@ func (c *Client) get(ctx context.Context, url, traceHdr string) ([]byte, http.He
 		se.retryAfter = parseRetryAfter(resp.Header)
 		return nil, resp.Header, se
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := ReadBody(resp, c.maxBody)
 	return data, resp.Header, err
+}
+
+// ReadBody reads a response body in full. A declared Content-Length of at
+// most limit bytes is read into one buffer of exactly that size; a body
+// without a declared length, or declaring more than limit, is read with
+// io.ReadAll, so a server cannot make the reader allocate more than limit
+// up front by declaring it. A body shorter than it declares fails with
+// io.ErrUnexpectedEOF either way.
+func ReadBody(resp *http.Response, limit int64) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > limit {
+		return io.ReadAll(resp.Body)
+	}
+	buf := make([]byte, n)
+	m, err := io.ReadFull(resp.Body, buf)
+	return buf[:m], err
 }
 
 // parseRetryAfter extracts the server's retry hint: the millisecond-precise

@@ -10,9 +10,11 @@ package webserve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strconv"
 
 	"repro/internal/rng"
 	"repro/internal/units"
@@ -59,15 +61,42 @@ type PayloadHeader struct {
 
 // EncodePayloadHeader renders the header as its fixed-width PayloadHeaderLen-byte line.
 func EncodePayloadHeader(h PayloadHeader) []byte {
-	line := fmt.Sprintf("REPL1 obj=%d src=%d seed=%016x len=%d sum=%08x",
-		h.Object, h.Source, h.Seed, h.Length, h.Sum)
-	buf := make([]byte, PayloadHeaderLen)
-	for i := range buf {
+	var buf [PayloadHeaderLen]byte
+	encodeHeader(&buf, h)
+	return buf[:]
+}
+
+// encodeHeader writes the line "REPL1 obj=%d src=%d seed=%016x len=%d
+// sum=%08x" into buf, space-padded, cut at PayloadHeaderLen-1 bytes and
+// newline-terminated.
+func encodeHeader(buf *[PayloadHeaderLen]byte, h PayloadHeader) {
+	// The widest line (three 20-character decimals) is 115 bytes.
+	var lineBuf [128]byte
+	line := append(lineBuf[:0], "REPL1 obj="...)
+	line = strconv.AppendInt(line, int64(h.Object), 10)
+	line = append(line, " src="...)
+	line = strconv.AppendInt(line, int64(h.Source), 10)
+	line = append(line, " seed="...)
+	line = appendHex(line, h.Seed, 16)
+	line = append(line, " len="...)
+	line = strconv.AppendInt(line, h.Length, 10)
+	line = append(line, " sum="...)
+	line = appendHex(line, uint64(h.Sum), 8)
+	n := copy(buf[:], line)
+	for i := n; i < PayloadHeaderLen; i++ {
 		buf[i] = ' '
 	}
-	copy(buf, line)
 	buf[PayloadHeaderLen-1] = '\n'
-	return buf
+}
+
+// appendHex appends v in lower-case hex, zero-padded to width digits.
+func appendHex(dst []byte, v uint64, width int) []byte {
+	var digits [16]byte
+	hex := strconv.AppendUint(digits[:0], v, 16)
+	for i := len(hex); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, hex...)
 }
 
 // DecodePayloadHeader parses a payload's leading header line. It never
@@ -93,7 +122,9 @@ func DecodePayloadHeader(data []byte) (PayloadHeader, error) {
 	// The fixed width must round-trip: a header whose re-encoding differs
 	// (sign tricks, leading zeros, trailing garbage) is not canonical.
 	h.Object = workload.ObjectID(obj)
-	if !bytes.Equal(EncodePayloadHeader(h), data[:PayloadHeaderLen]) {
+	var enc [PayloadHeaderLen]byte
+	encodeHeader(&enc, h)
+	if !bytes.Equal(enc[:], data[:PayloadHeaderLen]) {
 		return h, &IntegrityError{Object: h.Object, Reason: "non-canonical payload header"}
 	}
 	return h, nil
@@ -112,89 +143,137 @@ func (e *IntegrityError) Error() string {
 	return fmt.Sprintf("webserve: object %d integrity: %s", e.Object, e.Reason)
 }
 
-// payloadBlock builds the deterministic body block for (seed, k, src): a
-// SplitMix-derived keystream, so two sources' copies of the same object are
-// distinguishable bytes with identical sizes.
-func payloadBlock(seed uint64, k workload.ObjectID, src int) []byte {
-	s := rng.New(seed).Split(payloadContentStream, uint64(k), uint64(src+1))
-	b := make([]byte, contentBlockSize)
-	for i := 0; i < len(b); i += 8 {
-		x := s.Uint64()
-		for j := 0; j < 8; j++ {
-			b[i+j] = byte(x >> (8 * j))
-		}
+// payloadBlock fills block with the deterministic body block for (seed,
+// k, src): a SplitMix-derived keystream, so two sources' copies of the same
+// object are distinguishable bytes with identical sizes.
+func payloadBlock(block *[contentBlockSize]byte, seed uint64, k workload.ObjectID, src int) {
+	s := rng.New(rng.SplitSeed(seed, payloadContentStream, uint64(k), uint64(src+1)))
+	for i := 0; i < contentBlockSize; i += 8 {
+		binary.LittleEndian.PutUint64(block[i:], s.Uint64())
 	}
-	return b
 }
 
-// bodyCRC computes the CRC-32 of block repeated out to n bytes.
+// bodyCRC returns the CRC-32 (IEEE) of block repeated and truncated to n
+// bytes without reading those n bytes: the CRC of block repeated q times is
+// built by doubling, then the CRC of the r-byte tail is appended
+// (n = q·len(block) + r). It costs O(log n) and keeps no state.
 func bodyCRC(block []byte, n int64) uint32 {
-	h := crc32.NewIEEE()
-	for n > 0 {
-		chunk := block
-		if int64(len(chunk)) > n {
-			chunk = chunk[:n]
-		}
-		_, _ = h.Write(chunk)
-		n -= int64(len(chunk))
+	if len(block) == 0 {
+		return 0
 	}
-	return h.Sum32()
+	q, r := n/int64(len(block)), n%int64(len(block))
+	var sum uint32 // CRC of the copies appended so far
+	// run is the CRC of block repeated 2^i times; shift is the operator
+	// x^(8·len(run)) mod P that appending len(run) bytes applies to a CRC.
+	run, shift := crc32.ChecksumIEEE(block), x2nmodp(int64(len(block)), 3)
+	for ; q > 0; q >>= 1 {
+		if q&1 != 0 {
+			sum = multmodp(shift, sum) ^ run
+		}
+		run = multmodp(shift, run) ^ run
+		shift = multmodp(shift, shift)
+	}
+	if r > 0 {
+		sum = multmodp(x2nmodp(r, 3), sum) ^ crc32.ChecksumIEEE(block[:r])
+	}
+	return sum
 }
 
-// payloadFor assembles object k's header and body block as served by src.
-func payloadFor(w *workload.Workload, src int, k workload.ObjectID) (header, block []byte, bodyLen int64) {
-	total := int64(w.ObjectSize(k))
-	bodyLen = total - PayloadHeaderLen
-	if bodyLen < 0 {
-		bodyLen = 0
+// CRC-32 combination over GF(2), after zlib's crc32_combine: a CRC is a
+// polynomial remainder, so crc(A‖B) = crc(A)·x^(8·len(B)) mod P ⊕ crc(B),
+// with P the reflected IEEE polynomial.
+const crcPoly = 0xedb88320
+
+// x2nTable[k] is x^(2^k) mod P, k = 0..31.
+var x2nTable = func() (t [32]uint32) {
+	p := uint32(1) << 30 // x^1
+	t[0] = p
+	for k := 1; k < len(t); k++ {
+		p = multmodp(p, p)
+		t[k] = p
 	}
-	block = payloadBlock(w.Seed, k, src)
-	header = EncodePayloadHeader(PayloadHeader{
-		Object: k,
-		Source: src,
-		Seed:   w.Seed,
-		Length: total,
-		Sum:    bodyCRC(block, bodyLen),
-	})
-	if total < PayloadHeaderLen {
-		header = header[:total]
+	return t
+}()
+
+// multmodp returns a·b mod P in the reflected bit order, where the top bit
+// stands for x^0.
+func multmodp(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+			if a&(m-1) == 0 {
+				break
+			}
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crcPoly
+		} else {
+			b >>= 1
+		}
 	}
-	return header, block, bodyLen
+	return p
+}
+
+// x2nmodp returns x^(n·2^k) mod P.
+func x2nmodp(n int64, k uint) uint32 {
+	p := uint32(1) << 31 // x^0
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			p = multmodp(x2nTable[k&31], p)
+		}
+		k++
+	}
+	return p
 }
 
 // ObjectReader streams the self-verifying content of object k as served by
 // src (a site index, or RepoSource for the repository) at its workload
 // size: the fixed-width header, then the (seed, object, source)-keyed body.
-// The reader is cheap: one block repeated, truncated at the end.
+// The reader is cheap: one block repeated, truncated at the end, behind a
+// header whose checksum is combined from the block's, not streamed.
+//
+//repllint:hotpath — opened for every object a server sends
 func ObjectReader(w *workload.Workload, src int, k workload.ObjectID) io.Reader {
-	header, block, bodyLen := payloadFor(w, src, k)
-	return io.MultiReader(bytes.NewReader(header), &blockReader{block: block, remaining: bodyLen})
+	r := &payloadReader{total: int64(w.ObjectSize(k))}
+	payloadBlock(&r.block, w.Seed, k, src)
+	bodyLen := max(r.total-PayloadHeaderLen, 0)
+	encodeHeader(&r.head, PayloadHeader{
+		Object: k,
+		Source: src,
+		Seed:   w.Seed,
+		Length: r.total,
+		Sum:    bodyCRC(r.block[:], bodyLen),
+	})
+	return r
 }
 
-type blockReader struct {
-	block     []byte
-	remaining int64
-	offset    int
+// payloadReader reads one payload: the header (cut short when the object
+// is smaller than a header), then the block repeated out to total bytes.
+type payloadReader struct {
+	head  [PayloadHeaderLen]byte
+	block [contentBlockSize]byte
+	pos   int64 // bytes read so far
+	total int64
 }
 
-func (r *blockReader) Read(p []byte) (int, error) {
-	if r.remaining <= 0 {
+func (r *payloadReader) Read(p []byte) (int, error) {
+	if r.pos >= r.total {
 		return 0, io.EOF
 	}
 	n := 0
-	for n < len(p) && r.remaining > 0 {
-		chunk := r.block[r.offset:]
-		want := len(p) - n
-		if want > len(chunk) {
-			want = len(chunk)
+	if r.pos < PayloadHeaderLen {
+		n = copy(p, r.head[r.pos:min(r.total, PayloadHeaderLen)])
+		r.pos += int64(n)
+	}
+	for n < len(p) && r.pos < r.total {
+		chunk := r.block[(r.pos-PayloadHeaderLen)%contentBlockSize:]
+		if rest := r.total - r.pos; int64(len(chunk)) > rest {
+			chunk = chunk[:rest]
 		}
-		if int64(want) > r.remaining {
-			want = int(r.remaining)
-		}
-		copy(p[n:], chunk[:want])
-		n += want
-		r.remaining -= int64(want)
-		r.offset = (r.offset + want) % len(r.block)
+		c := copy(p[n:], chunk)
+		n += c
+		r.pos += int64(c)
 	}
 	return n, nil
 }
@@ -222,7 +301,12 @@ func VerifyObjectFrom(w *workload.Workload, src int, k workload.ObjectID, data [
 	return nil
 }
 
-// verifyPayload is the shared verification core.
+// verifyPayload is the shared verification core. The checks run in a fixed
+// order — size, header, object, seed, declared length, source, a CRC over
+// the received body, then the keystream — so a damaged payload always
+// reports the first check it fails.
+//
+//repllint:hotpath — runs on every object a verifying client or the scrubber fetches
 func verifyPayload(w *workload.Workload, k workload.ObjectID, data []byte) (PayloadHeader, error) {
 	var h PayloadHeader
 	if got, want := units.ByteSize(len(data)), w.ObjectSize(k); got != want {
@@ -243,20 +327,22 @@ func verifyPayload(w *workload.Workload, k workload.ObjectID, data []byte) (Payl
 		return h, &IntegrityError{Object: k, Reason: fmt.Sprintf("payload claims unknown source %d", h.Source)}
 	}
 	body := data[PayloadHeaderLen:]
-	if bodyCRC(body, int64(len(body))) != h.Sum {
+	if crc32.ChecksumIEEE(body) != h.Sum {
 		return h, &IntegrityError{Object: k, Reason: "body checksum mismatch"}
 	}
-	// The checksum catches bit-flips; the byte compare additionally catches
-	// a forged (sum, body) pair that is not the keystream.
-	block := payloadBlock(w.Seed, k, h.Source)
-	for i := 0; i < len(body); i += len(block) {
-		end := i + len(block)
-		if end > len(body) {
-			end = len(body)
+	// The checksum catches bit-flips; the keystream compare additionally
+	// catches a forged (sum, body) pair. Segments are compared a block at a
+	// time and scanned byte by byte only to name the first differing byte.
+	var block [contentBlockSize]byte
+	payloadBlock(&block, w.Seed, k, h.Source)
+	for i := 0; i < len(body); i += contentBlockSize {
+		seg := body[i:min(i+contentBlockSize, len(body))]
+		if bytes.Equal(seg, block[:len(seg)]) {
+			continue
 		}
-		for off := i; off < end; off++ {
-			if body[off] != block[off-i] {
-				return h, &IntegrityError{Object: k, Reason: fmt.Sprintf("body corrupt at byte %d", off+PayloadHeaderLen)}
+		for off := range seg {
+			if seg[off] != block[off] {
+				return h, &IntegrityError{Object: k, Reason: fmt.Sprintf("body corrupt at byte %d", i+off+PayloadHeaderLen)}
 			}
 		}
 	}

@@ -97,12 +97,17 @@ func (r *Repository) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 	http.NotFound(rw, req)
 }
 
+// copyBufs holds copyCtx's 32 KB chunk buffers, reused across responses.
+var copyBufs = sync.Pool{New: func() any { return new([32 * 1024]byte) }}
+
 // copyCtx streams src to dst in chunks, checking the request context
 // between chunks: a client that disconnected mid-body stops consuming
 // server work instead of having the full object pushed into a dead
 // connection.
 func copyCtx(ctx context.Context, dst io.Writer, src io.Reader) (int64, error) {
-	buf := make([]byte, 32*1024)
+	chunk := copyBufs.Get().(*[32 * 1024]byte)
+	defer copyBufs.Put(chunk)
+	buf := chunk[:]
 	var written int64
 	for {
 		select {

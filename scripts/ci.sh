@@ -118,11 +118,15 @@ stage_adapt() {
 # rejection), the gray-failure modes (rot, limping, partial partitions),
 # checksum-mismatch-is-retryable on the client, hedged requests, the
 # latency-aware probe loop, the scrub loop's find/repair/converge cycle with
-# its chaos soak, and the scrub study's acceptance + reproducibility pins.
+# its chaos soak, and the scrub study's acceptance + reproducibility pins;
+# the payload byte pins, the combined header CRC against the streaming one,
+# the client's body reads (truncated, oversized declaration, chunked); then
+# a short fuzz of the payload codec beyond its committed corpus.
 stage_scrub() {
-    go test -race -count=1 -run 'Payload|Verify|Corrupt|Rot|Limp|Partition|Gray|Hedge|Scrub|Latency' \
+    go test -race -count=1 -run 'Payload|Verify|Corrupt|Rot|Limp|Partition|Gray|Hedge|Scrub|Latency|BodyCRC|ReadBody' \
         ./internal/webserve/ ./internal/faults/ ./internal/controller/ \
         ./internal/experiments/
+    go test -run '^$' -fuzz FuzzPayloadRoundTrip -fuzztime 10s ./internal/webserve/
 }
 
 # The overload-robustness surface end to end under the race detector: the
