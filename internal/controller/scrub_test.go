@@ -209,7 +209,12 @@ func TestScrubberRaceWithChaosAndFetches(t *testing.T) {
 func TestSupervisorDetectsLimpingSite(t *testing.T) {
 	penv, p := healEnv(t)
 	plan := &faults.Plan{Seed: 3, Sites: make([]faults.Spec, penv.W.NumSites())}
-	plan.Sites[1].LimpLatency = 30 * time.Millisecond
+	// The limp and the threshold are far apart and far above a loopback
+	// probe's round trip, so scheduler stalls on a loaded host (the race
+	// detector, parallel packages) cannot lift a healthy site's EWMA over
+	// the threshold, and the limping site stays over it by a wide margin.
+	const limp, threshold = 200 * time.Millisecond, 50 * time.Millisecond
+	plan.Sites[1].LimpLatency = limp
 	plan.Sites[1].Limps = []faults.Window{{Start: 0, End: time.Hour}}
 	cluster, err := webserve.StartClusterOptions(penv.W, p, webserve.ClusterOptions{Faults: plan})
 	if err != nil {
@@ -225,7 +230,7 @@ func TestSupervisorDetectsLimpingSite(t *testing.T) {
 		ProbeTimeout:     2 * time.Second,
 		FailThreshold:    3,
 		OKThreshold:      2,
-		LatencyThreshold: 5 * time.Millisecond,
+		LatencyThreshold: threshold,
 		Workers:          1,
 		Journal:          journal,
 		Metrics:          telemetry.NewRegistry(),
@@ -240,7 +245,7 @@ func TestSupervisorDetectsLimpingSite(t *testing.T) {
 		t.Fatalf("healthy sites demoted: %v", states)
 	}
 	_, ewma := s.Latency(1)
-	if ewma < 5*time.Millisecond {
+	if ewma < threshold {
 		t.Errorf("limping site's EWMA %v below the threshold that demoted it", ewma)
 	}
 	var sawRTT bool

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -33,7 +34,7 @@ func (pl *Planner) freeCapacity(i workload.SiteID) float64 {
 
 // freeSpace returns Space(S_i): the storage left at site i in bytes.
 func (pl *Planner) freeSpace(i workload.SiteID) units.ByteSize {
-	v := pl.env.Budgets.Storage[i] - pl.p.StorageUsed(i)
+	v := pl.env.Budgets.Storage[i] - pl.storageUsed(i)
 	if v < 0 {
 		return 0
 	}
@@ -75,7 +76,7 @@ func (pl *Planner) AcceptWorkload(i workload.SiteID, target units.ReqPerSec) Acc
 // one flip, within the hard capacity headroom) or candidates run out.
 // Returns the req/s gained.
 func (pl *Planner) acceptByFlipping(i workload.SiteID, soft, hard float64, res *AcceptResult) float64 {
-	var items []heapItem
+	items := pl.candidates(i)
 	for _, pid := range pl.env.W.Sites[i].Pages {
 		pg := &pl.env.W.Pages[pid]
 		for idx := range pg.Compulsory {
@@ -174,23 +175,26 @@ func (pl *Planner) acceptBySwapping(i workload.SiteID, soft, hard float64, res *
 	}
 
 	// Local request rate currently carried by each stored object / gainable
-	// by each absent object.
-	carried := make(map[workload.ObjectID]float64)
-	potential := make(map[workload.ObjectID]float64)
+	// by each absent object, per slot of the site's reference index.
+	base := int(pl.siteOff[i])
+	carried := make([]float64, int(pl.siteOff[i+1])-base)
+	potential := make([]float64, len(carried))
 	for _, pid := range pl.env.W.Sites[i].Pages {
 		pg := &pl.env.W.Pages[pid]
 		for idx, k := range pg.Compulsory {
+			s := int(pl.refSlot(pid, idx, false)) - base
 			if pl.p.CompLocal(pid, idx) {
-				carried[k] += float64(pg.Freq)
+				carried[s] += float64(pg.Freq)
 			} else if !pl.p.IsStored(i, k) {
-				potential[k] += float64(pg.Freq)
+				potential[s] += float64(pg.Freq)
 			}
 		}
 		for idx, l := range pg.Optional {
+			s := int(pl.refSlot(pid, idx, true)) - base
 			if pl.p.OptLocal(pid, idx) {
-				carried[l.Object] += float64(pg.Freq) * l.Prob
+				carried[s] += float64(pg.Freq) * l.Prob
 			} else if !pl.p.IsStored(i, l.Object) {
-				potential[l.Object] += float64(pg.Freq) * l.Prob
+				potential[s] += float64(pg.Freq) * l.Prob
 			}
 		}
 	}
@@ -198,26 +202,36 @@ func (pl *Planner) acceptBySwapping(i workload.SiteID, soft, hard float64, res *
 	var outs, ins []entry
 	pl.p.StoredSet(i).ForEach(func(kk int) bool {
 		k := workload.ObjectID(kk)
-		outs = append(outs, entry{k, carried[k], pl.env.W.ObjectSize(k)})
+		rate := 0.0 // a replica no page of the site names carries nothing
+		if s := pl.slotOf(i, k); s >= 0 {
+			rate = carried[s-base]
+		}
+		outs = append(outs, entry{k, rate, pl.env.W.ObjectSize(k)})
 		return true
 	})
-	for k, rate := range potential {
-		ins = append(ins, entry{k, rate, pl.env.W.ObjectSize(k)})
+	for s, rate := range potential {
+		if rate > 0 { // a zero rate could never be swapped in
+			k := pl.slotObj[base+s]
+			ins = append(ins, entry{k, rate, pl.env.W.ObjectSize(k)})
+		}
 	}
-	sort.Slice(outs, func(a, b int) bool {
-		if outs[a].rate != outs[b].rate { //repllint:allow float-compare — exact-bits tie-break keeps the comparator a strict weak order
-			return outs[a].rate < outs[b].rate
+	// Both orders are total (ties by object), so the sort cannot reorder
+	// equal entries differently.
+	slices.SortFunc(outs, func(a, b entry) int {
+		if c := cmp.Compare(a.rate, b.rate); c != 0 {
+			return c
 		}
-		return outs[a].k < outs[b].k
+		return cmp.Compare(a.k, b.k)
 	})
-	sort.Slice(ins, func(a, b int) bool {
-		if ins[a].rate != ins[b].rate { //repllint:allow float-compare — exact-bits tie-break keeps the comparator a strict weak order
-			return ins[a].rate > ins[b].rate
+	slices.SortFunc(ins, func(a, b entry) int {
+		if c := cmp.Compare(b.rate, a.rate); c != 0 {
+			return c
 		}
-		return ins[a].k < ins[b].k
+		return cmp.Compare(a.k, b.k)
 	})
 
 	gained := 0.0
+	var affected []workload.PageID // deallocate's buffer; the pages are not revisited
 	for _, in := range ins {
 		if soft-gained <= 1e-9 {
 			break
@@ -250,17 +264,17 @@ func (pl *Planner) acceptBySwapping(i workload.SiteID, soft, hard float64, res *
 			continue // cannot make room profitably
 		}
 		for _, e := range evict {
-			pl.deallocate(i, e.k)
+			affected = pl.deallocate(i, e.k, affected[:0])
 		}
 		pl.p.Store(i, in.k)
 		res.Stored++
 		res.Swapped += len(evict)
 		// Flip every repository reference of the incoming object local.
-		for _, r := range pl.refs[i][in.k] {
+		for _, r := range pl.refsOf(i, in.k) {
 			if r.optional {
-				pl.flipOpt(r.page, r.idx, true)
+				pl.flipOpt(workload.PageID(r.page), int(r.idx), true)
 			} else {
-				pl.flipComp(r.page, r.idx, true)
+				pl.flipComp(workload.PageID(r.page), int(r.idx), true)
 			}
 		}
 		gained += in.rate - lost

@@ -91,8 +91,8 @@ func BenchmarkPartitionParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkOffloadParallel isolates the negotiation with concurrent
-// scratch-planner scoring, repository capped at 60 % of the pre-offload
+// BenchmarkOffloadParallel isolates the negotiation with pooled in-place
+// site acceptance, repository capped at 60 % of the pre-offload
 // load so several rounds of AcceptWorkload run.
 func BenchmarkOffloadParallel(b *testing.B) {
 	env := benchEnv(b)
@@ -127,18 +127,37 @@ func BenchmarkOffloadParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkScratchBuild prices one per-site scratch planner construction —
-// the per-dispatch overhead the off-loading scoring pool pays.
-func BenchmarkScratchBuild(b *testing.B) {
-	env := benchEnv(b)
-	pl := NewPlanner(env)
-	pl.PartitionParallel(runtime.NumCPU(), nil)
+// BenchmarkPlanDrift runs the full pipeline at the shape of perfbench's
+// replan-drift workload: 40 sites and 60,000 objects (about 24k pages)
+// under Scale(0.3, 0.7) budgets, with the repository capped at 60 % of the
+// load an unconstrained-repository plan leaves on it, so storage
+// restoration and several off-loading rounds with swaps all run.
+func BenchmarkPlanDrift(b *testing.B) {
+	cfg := workload.DefaultConfig()
+	cfg.Sites = 40
+	cfg.GlobalObjects = 60000
+	w, err := workload.Generate(cfg, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	est, err := netsim.DrawEstimates(netsim.DefaultConfig(), w.NumSites(), rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := model.NewEnv(w, est, model.FullBudgets(w).Scale(w, 0.3, 0.7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, _, err := Plan(env, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	env.Budgets.RepoCapacity = units.ReqPerSec(0.6 * float64(model.RepoLoad(env, p)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc := pl.scratchFor(workload.SiteID(i % env.W.NumSites()))
-		if sc == nil {
-			b.Fatal("nil scratch")
+		if _, _, err := Plan(env, Options{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

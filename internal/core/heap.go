@@ -1,6 +1,9 @@
 package core
 
-import "container/heap"
+import (
+	"repro/internal/minheap"
+	"repro/internal/workload"
+)
 
 // heapItem is one candidate in a lazy-greedy selection: an opaque id with a
 // possibly-stale key (smaller = apply earlier).
@@ -9,6 +12,10 @@ type heapItem struct {
 	id  int64
 }
 
+// Less orders candidates by key alone; equal keys keep the heap's
+// deterministic slot order.
+func (a heapItem) Less(b heapItem) bool { return a.key < b.key }
+
 // lazyHeap is a min-heap of heapItems supporting the lazy-greedy pattern
 // used by the restoration loops: keys are computed when items are pushed and
 // may go stale as the state mutates; Pop'd items are re-validated by the
@@ -16,46 +23,19 @@ type heapItem struct {
 // Between two state mutations every key recomputation is deterministic, so
 // each item is refreshed at most once per mutation and the loop terminates.
 type lazyHeap struct {
-	items []heapItem
+	minheap.Heap[heapItem]
 }
 
-func (h *lazyHeap) Len() int           { return len(h.items) }
-func (h *lazyHeap) Less(i, j int) bool { return h.items[i].key < h.items[j].key }
-func (h *lazyHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *lazyHeap) Push(x interface{}) { h.items = append(h.items, x.(heapItem)) }
-func (h *lazyHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+// candidates returns an empty item buffer with room for one item per
+// reference by site i's pages — the most a per-site greedy loop seeds its
+// heap with — so seeding it never regrows the buffer.
+func (pl *Planner) candidates(i workload.SiteID) []heapItem {
+	return make([]heapItem, 0, pl.refOff[pl.siteOff[i+1]]-pl.refOff[pl.siteOff[i]])
 }
 
 // newLazyHeap heapifies the given items in place.
-func newLazyHeap(items []heapItem) *lazyHeap {
-	h := &lazyHeap{items: items}
-	heap.Init(h)
-	return h
-}
-
-// push adds an item.
-func (h *lazyHeap) push(it heapItem) { heap.Push(h, it) }
-
-// pop removes and returns the minimum item; ok is false when empty.
-func (h *lazyHeap) pop() (heapItem, bool) {
-	if h.Len() == 0 {
-		return heapItem{}, false
-	}
-	return heap.Pop(h).(heapItem), true
-}
-
-// peekKey returns the minimum key, or +inf semantics via ok=false when
-// empty.
-func (h *lazyHeap) peekKey() (float64, bool) {
-	if h.Len() == 0 {
-		return 0, false
-	}
-	return h.items[0].key, true
+func newLazyHeap(items []heapItem) lazyHeap {
+	return lazyHeap{minheap.New(items)}
 }
 
 // popFresh implements the lazy-greedy pop: it returns the id whose *fresh*
@@ -64,7 +44,7 @@ func (h *lazyHeap) peekKey() (float64, bool) {
 func (h *lazyHeap) popFresh(recompute func(id int64) (key float64, valid bool)) (int64, float64, bool) {
 	const eps = 1e-12
 	for {
-		it, ok := h.pop()
+		it, ok := h.Pop()
 		if !ok {
 			return 0, 0, false
 		}
@@ -72,12 +52,12 @@ func (h *lazyHeap) popFresh(recompute func(id int64) (key float64, valid bool)) 
 		if !valid {
 			continue
 		}
-		if top, ok := h.peekKey(); ok && key > top+eps {
+		if top, ok := h.Peek(); ok && key > top.key+eps {
 			// Fresh key no longer beats the rest — refresh and retry.
 			// (Between two mutations recomputation is deterministic, so two
 			// items cannot alternate indefinitely: A re-pushed over B and B
 			// re-pushed over A would need key_A > key_B + eps and vice versa.)
-			h.push(heapItem{key: key, id: it.id})
+			h.Push(heapItem{key: key, id: it.id})
 			continue
 		}
 		return it.id, key, true

@@ -34,15 +34,7 @@ const maxOffloadRounds = 64
 // produces the identical placement; this form is the deterministic
 // reference. log, when non-nil, receives a line per protocol message.
 func (pl *Planner) Offload(log io.Writer) OffloadStats {
-	return pl.offload(log, func(reqs map[workload.SiteID]units.ReqPerSec) []AcceptResult {
-		out := make([]AcceptResult, 0, len(reqs))
-		for i := 0; i < pl.env.W.NumSites(); i++ {
-			if target, ok := reqs[workload.SiteID(i)]; ok {
-				out = append(out, pl.AcceptWorkload(workload.SiteID(i), target))
-			}
-		}
-		return out
-	})
+	return pl.OffloadParallel(log, 1, nil)
 }
 
 // RunOffloadDistributed runs the same negotiation with one goroutine per

@@ -11,13 +11,15 @@
 //     never of the worker count or the scheduler — so any Workers value
 //     produces byte-identical placements and an identical D.
 //
-//   - scratchFor/commitScratch give the off-loading negotiation per-site
-//     scratch planners: copy-on-write views of the placement's X/X' rows
-//     plus private copies of the site-local accumulators. Candidate
-//     flips/swaps are scored (and tentatively applied) concurrently on the
-//     scratches; the coordinator then adopts each site's outcome serially.
-//     Distinct sites touch disjoint planner state, so the scratch outcome is
-//     bit-identical to running the same AcceptWorkload sequentially.
+//   - forEachSite runs a per-site phase over a bounded pool: the storage
+//     and processing restoration in Plan and every round of the off-loading
+//     negotiation in OffloadParallel. Each site's greedy loop mutates the
+//     live planner, but only the site's own state — its pages' rows, byte
+//     counts and chain times, its store, its reference-index slots and its
+//     objective and load cells — so sites need no copies and no locks, and
+//     each site's outcome is the one a sequential run computes. Off-loading
+//     answers are gathered by site index, so the coordinator applies them in
+//     ascending site order whatever the scheduling.
 //
 //   - The Planner's pageT / optLocalT / optRemoteT caches (planner.go) make
 //     each concurrent evaluation cheap: flip scoring reads the cached
@@ -27,7 +29,6 @@ package core
 
 import (
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,20 +62,7 @@ func (pl *Planner) partitionPageScratch(j workload.PageID, buf *[]int) partition
 	f := float64(pg.Freq)
 	oldT := pl.pageT[j]
 
-	order := (*buf)[:0]
-	for idx := range pg.Compulsory {
-		order = append(order, idx)
-	}
-	if !pl.UnsortedPartition {
-		sort.Slice(order, func(a, b int) bool {
-			sa := pl.env.W.ObjectSize(pg.Compulsory[order[a]])
-			sb := pl.env.W.ObjectSize(pg.Compulsory[order[b]])
-			if sa != sb {
-				return sa > sb // decreasing size
-			}
-			return order[a] < order[b] // stable tie-break for determinism
-		})
-	}
+	order := pl.visitOrder(pg, !pl.UnsortedPartition, *buf)
 	*buf = order
 
 	local := est.LocalOvhd + est.LocalRate.TransferTime(pg.HTMLSize)
@@ -122,7 +110,6 @@ func (pl *Planner) partitionPageScratch(j workload.PageID, buf *[]int) partition
 // result is independent of how the parallel phase scheduled the pages.
 func (pl *Planner) reducePartitionSite(i workload.SiteID, deltas []partitionDelta) {
 	w := pl.env.W
-	marks := pl.localMarks[i]
 	for _, pid := range w.Sites[i].Pages {
 		d := &deltas[pid]
 		pl.d1Site[i] += d.d1
@@ -133,12 +120,12 @@ func (pl *Planner) reducePartitionSite(i workload.SiteID, deltas []partitionDelt
 		for idx, k := range pg.Compulsory {
 			if pl.p.CompLocal(pid, idx) {
 				pl.p.Store(i, k)
-				marks[k]++
+				pl.marks[pl.refSlot(pid, idx, false)]++
 			}
 		}
-		for _, l := range pg.Optional {
+		for idx, l := range pg.Optional {
 			pl.p.Store(i, l.Object)
-			marks[l.Object]++
+			pl.marks[pl.refSlot(pid, idx, true)]++
 		}
 	}
 }
@@ -219,95 +206,57 @@ func (pl *Planner) PartitionParallel(workers int, sp *telemetry.Span) {
 	// Reduce, fanned over sites: each site's accumulators are disjoint and
 	// its pages are folded in fixed order, so the reduction is race-free and
 	// scheduling-independent.
-	rw := workers
-	if rw > numSites {
-		rw = numSites
+	forEachSite(numSites, workers, func(i int) {
+		var t time.Time
+		if sp != nil {
+			t = time.Now() //repllint:allow determinism — span busy-time telemetry; never feeds planner state
+		}
+		pl.reducePartitionSite(workload.SiteID(i), deltas)
+		if sp != nil {
+			sp.AddBusy(time.Since(t)) //repllint:allow determinism — span busy-time telemetry; never feeds planner state
+		}
+	})
+}
+
+// forEachSite calls fn(i) for every site 0 ≤ i < numSites over a pool of at
+// most workers goroutines (inline, in site order, when workers <= 1) and
+// returns when every call has. fn must touch only site i's planner state.
+func forEachSite(numSites, workers int, fn func(i int)) {
+	if workers > numSites {
+		workers = numSites
 	}
-	var nextSite atomic.Int64
-	for w := 0; w < rw; w++ {
+	if workers <= 1 {
+		for i := 0; i < numSites; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var t time.Time
-			if sp != nil {
-				t = time.Now() //repllint:allow determinism — span busy-time telemetry; never feeds planner state
-			}
 			for {
-				i := int(nextSite.Add(1) - 1)
+				i := int(next.Add(1) - 1)
 				if i >= numSites {
-					break
+					return
 				}
-				pl.reducePartitionSite(workload.SiteID(i), deltas)
-			}
-			if sp != nil {
-				sp.AddBusy(time.Since(t)) //repllint:allow determinism — span busy-time telemetry; never feeds planner state
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// scratchFor returns a scratch planner for site i: a copy-on-write view of
-// the placement plus private copies of every accumulator the site's planning
-// phases may write. The scratch shares the immutable environment, the
-// reference index and the precomputed per-link times with its parent, so
-// building one is O(pages + site state), not O(problem).
-func (pl *Planner) scratchFor(i workload.SiteID) *Planner {
-	marks := make(map[workload.ObjectID]int, len(pl.localMarks[i]))
-	for k, v := range pl.localMarks[i] {
-		marks[k] = v
-	}
-	scratchMarks := append([]map[workload.ObjectID]int(nil), pl.localMarks...)
-	scratchMarks[i] = marks
-	return &Planner{
-		env:               pl.env,
-		p:                 pl.p.SiteView(i),
-		UnsortedPartition: pl.UnsortedPartition,
-		NoRepartition:     pl.NoRepartition,
-		localBytes:        append([]units.ByteSize(nil), pl.localBytes...),
-		remoteBytes:       append([]units.ByteSize(nil), pl.remoteBytes...),
-		pageT:             append([]units.Seconds(nil), pl.pageT...),
-		optOff:            pl.optOff,
-		optLocalT:         pl.optLocalT,
-		optRemoteT:        pl.optRemoteT,
-		d1Site:            append([]float64(nil), pl.d1Site...),
-		d2Site:            append([]float64(nil), pl.d2Site...),
-		siteLocalLoad:     append([]float64(nil), pl.siteLocalLoad...),
-		siteRepoLoad:      append([]float64(nil), pl.siteRepoLoad...),
-		refs:              pl.refs,
-		localMarks:        scratchMarks,
-	}
-}
-
-// commitScratch folds site i's state from a scratch planner back into pl:
-// the site's pages' chain caches, its objective and load cells, its mark
-// counters and its placement rows/store. Applied serially by a coordinator,
-// commits for distinct sites compose exactly like running the sites'
-// mutations sequentially, because no cell outside site i ever changes.
-func (pl *Planner) commitScratch(sc *Planner, i workload.SiteID) {
-	for _, j := range pl.env.W.Sites[i].Pages {
-		pl.localBytes[j] = sc.localBytes[j]
-		pl.remoteBytes[j] = sc.remoteBytes[j]
-		pl.pageT[j] = sc.pageT[j]
-	}
-	pl.d1Site[i] = sc.d1Site[i]
-	pl.d2Site[i] = sc.d2Site[i]
-	pl.siteLocalLoad[i] = sc.siteLocalLoad[i]
-	pl.siteRepoLoad[i] = sc.siteRepoLoad[i]
-	pl.localMarks[i] = sc.localMarks[i]
-	pl.p.AdoptSiteView(sc.p, i)
-}
-
 // OffloadParallel runs the off-loading negotiation with each phase's
-// AcceptWorkload evaluations scored concurrently on per-site scratch
-// planners; the coordinator adopts every site's accepted flips and swaps
-// serially, in ascending site order, before starting the next phase. The
-// placement, the statistics and the message log are bit-identical to the
-// sequential Offload. Per-site scoring busy time accumulates on sp.
+// AcceptWorkload calls spread over a pool of workers. Every requested site
+// accepts on the live planner — sites touch disjoint planner state — and
+// the answers are gathered by site, so the coordinator applies them in
+// ascending site order exactly as the sequential Offload does: the
+// placement, the statistics and the message log are bit-identical to it.
+// Per-site acceptance busy time accumulates on sp.
 func (pl *Planner) OffloadParallel(log io.Writer, workers int, sp *telemetry.Span) OffloadStats {
-	if workers <= 1 {
-		return pl.Offload(log)
-	}
 	return pl.offload(log, func(reqs map[workload.SiteID]units.ReqPerSec) []AcceptResult {
 		sites := make([]workload.SiteID, 0, len(reqs))
 		for i := 0; i < pl.env.W.NumSites(); i++ {
@@ -315,34 +264,17 @@ func (pl *Planner) OffloadParallel(log io.Writer, workers int, sp *telemetry.Spa
 				sites = append(sites, workload.SiteID(i))
 			}
 		}
-		scratches := make([]*Planner, len(sites))
 		out := make([]AcceptResult, len(sites))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for s := range sites {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				var t time.Time
-				if sp != nil {
-					t = time.Now() //repllint:allow determinism — span busy-time telemetry; never feeds planner state
-				}
-				site := sites[s]
-				sc := pl.scratchFor(site)
-				out[s] = sc.AcceptWorkload(site, reqs[site])
-				scratches[s] = sc
-				if sp != nil {
-					sp.AddBusy(time.Since(t)) //repllint:allow determinism — span busy-time telemetry; never feeds planner state
-				}
-			}(s)
-		}
-		wg.Wait()
-		// Serial application by the coordinator, in site order.
-		for s, site := range sites {
-			pl.commitScratch(scratches[s], site)
-		}
+		forEachSite(len(sites), workers, func(s int) {
+			var t time.Time
+			if sp != nil {
+				t = time.Now() //repllint:allow determinism — span busy-time telemetry; never feeds planner state
+			}
+			out[s] = pl.AcceptWorkload(sites[s], reqs[sites[s]])
+			if sp != nil {
+				sp.AddBusy(time.Since(t)) //repllint:allow determinism — span busy-time telemetry; never feeds planner state
+			}
+		})
 		return out
 	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -97,8 +96,8 @@ func TestPartitionParallelUnsorted(t *testing.T) {
 }
 
 // TestOffloadParallelMatchesSequential runs the same constrained
-// negotiation through the sequential coordinator and through the
-// scratch-planner scoring path, and requires bit-identical stats,
+// negotiation through the sequential coordinator and through the pooled
+// in-place acceptance path, and requires bit-identical stats,
 // placements, message logs and caches.
 func TestOffloadParallelMatchesSequential(t *testing.T) {
 	build := func() *Planner {
@@ -139,43 +138,10 @@ func TestOffloadParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestScratchCommitRoundTrip mutates a scratch planner for one site and
-// commits it back, checking the parent picks up exactly the site's state
-// and that other sites' cells never moved.
-func TestScratchCommitRoundTrip(t *testing.T) {
-	env := genEnv(t, 74)
-	pl := NewPlanner(env)
-	pl.PartitionParallel(1, nil)
-
-	site := workload.SiteID(1)
-	before := pl.Placement().Clone()
-	d1Other := pl.d1Site[0]
-
-	sc := pl.scratchFor(site)
-	res := sc.AcceptWorkload(site, units.ReqPerSec(math.Inf(1)))
-	_ = res
-	// Parent untouched while the scratch mutates.
-	samePlacement(t, before, pl.Placement(), "pre-commit parent")
-
-	pl.commitScratch(sc, site)
-	if pl.d1Site[0] != d1Other {
-		t.Error("commit touched another site's objective cell")
-	}
-	if pl.d1Site[site] != sc.d1Site[site] {
-		t.Error("commit did not adopt the site's objective cell")
-	}
-	if !pl.Placement().StoredSet(site).Equal(sc.Placement().StoredSet(site)) {
-		t.Error("commit did not adopt the site's store")
-	}
-	if err := pl.VerifyConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPlanWorkersDeterminismProperty is the race-detector determinism
 // property (run via `go test -race ./internal/core/`): on seeded random
 // workloads with random budget scales — including a constrained repository
-// so the off-loading scratch path runs — Plan with Workers: 1 and with
+// so the pooled off-loading path runs — Plan with Workers: 1 and with
 // Workers: runtime.NumCPU() (and an oversubscribed pool) must produce
 // identical placements and an identical D, bit for bit.
 func TestPlanWorkersDeterminismProperty(t *testing.T) {

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/workload"
 )
@@ -31,25 +32,10 @@ func (pl *Planner) partitionPage(j workload.PageID, bySize bool) {
 	pg := &pl.env.W.Pages[j]
 	est := pl.siteEstimateOf(pg.Site)
 
-	order := make([]int, len(pg.Compulsory))
-	for i := range order {
-		order[i] = i
-	}
-	if bySize {
-		sort.Slice(order, func(a, b int) bool {
-			sa := pl.env.W.ObjectSize(pg.Compulsory[order[a]])
-			sb := pl.env.W.ObjectSize(pg.Compulsory[order[b]])
-			if sa != sb {
-				return sa > sb // decreasing size
-			}
-			return order[a] < order[b] // stable tie-break for determinism
-		})
-	}
-
 	local := est.LocalOvhd + est.LocalRate.TransferTime(pg.HTMLSize)
 	remote := est.RepoOvhd
 
-	for _, idx := range order {
+	for _, idx := range pl.visitOrder(pg, bySize, nil) {
 		size := pl.env.W.ObjectSize(pg.Compulsory[idx])
 		remoteIf := remote + est.RepoRate.TransferTime(size)
 		localIf := local + est.LocalRate.TransferTime(size)
@@ -62,6 +48,27 @@ func (pl *Planner) partitionPage(j workload.PageID, bySize bool) {
 			pl.flipComp(j, idx, true)
 		}
 	}
+}
+
+// visitOrder returns page pg's compulsory indices in PARTITION's visit
+// order, reusing buf: decreasing size with ties by index when bySize, page
+// order otherwise. The order is total, so it does not depend on the sort.
+func (pl *Planner) visitOrder(pg *workload.Page, bySize bool, buf []int) []int {
+	order := buf[:0]
+	for idx := range pg.Compulsory {
+		order = append(order, idx)
+	}
+	if bySize {
+		slices.SortFunc(order, func(a, b int) int {
+			sa := pl.env.W.ObjectSize(pg.Compulsory[a])
+			sb := pl.env.W.ObjectSize(pg.Compulsory[b])
+			if c := cmp.Compare(sb, sa); c != 0 {
+				return c // decreasing size
+			}
+			return cmp.Compare(a, b)
+		})
+	}
+	return order
 }
 
 // AdmitPage runs the full per-page admission of PARTITION on page j at its

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/model"
@@ -15,7 +14,8 @@ import (
 // Options controls plan execution.
 type Options struct {
 	// Workers bounds the planning concurrency: the page-level PARTITION
-	// pool, the per-site restoration pool and the off-loading scoring pool.
+	// pool, the per-site restoration pool and the off-loading acceptance
+	// pool.
 	// 0 means GOMAXPROCS, 1 forces sequential execution. Every value
 	// produces byte-identical placements and an identical D (see
 	// parallel.go for why).
@@ -84,8 +84,8 @@ type Result struct {
 // Plan runs the full pipeline of Section 4 over the environment: PARTITION
 // fanned out over a page-level worker pool, storage restoration (Eq. 10)
 // and processing restoration (Eq. 8) fanned out per site, followed by the
-// repository off-loading negotiation (Eq. 9) with its acceptance decisions
-// scored concurrently on per-site scratch planners. The placement and the
+// repository off-loading negotiation (Eq. 9) with each round's site
+// acceptances run concurrently on the live planner. The placement and the
 // objective are byte-identical for every Workers value. It returns the
 // placement and a result report.
 func Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
@@ -124,7 +124,8 @@ func Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
 	// parallel over sites — the greedy loops are sequential within a site
 	// but distinct sites touch disjoint planner state.
 	stats := make([]SiteStats, numSites)
-	restoreSite := func(i workload.SiteID) {
+	forEachSite(numSites, workers, func(s int) {
+		i := workload.SiteID(s)
 		var t time.Time
 		if trace != nil {
 			t = time.Now() //repllint:allow determinism — span busy-time telemetry; never feeds planner state
@@ -138,41 +139,15 @@ func Plan(env *model.Env, opts Options) (*model.Placement, *Result, error) {
 			lap(spRefine, t)
 		}
 		stats[i] = SiteStats{Site: i, Deallocs: d, ProcFlips: f}
-	}
-
-	siteWorkers := workers
-	if siteWorkers > numSites {
-		siteWorkers = numSites
-	}
-	if siteWorkers <= 1 {
-		for i := 0; i < numSites; i++ {
-			restoreSite(workload.SiteID(i))
-		}
-	} else {
-		sites := make(chan workload.SiteID)
-		var wg sync.WaitGroup
-		for w := 0; w < siteWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range sites {
-					restoreSite(i)
-				}
-			}()
-		}
-		for i := 0; i < numSites; i++ {
-			sites <- workload.SiteID(i)
-		}
-		close(sites)
-		wg.Wait()
-	}
+	})
 
 	spStore.End()
 	spProc.End()
 	spRefine.End()
 
-	// Phase 3: the off-loading negotiation, acceptance scored concurrently
-	// on per-site scratch planners and applied serially by the coordinator.
+	// Phase 3: the off-loading negotiation; each round's requested sites
+	// accept concurrently on the live planner and the coordinator applies
+	// their answers in site order.
 	spOff := trace.Child("off-loading")
 	var off OffloadStats
 	if opts.Distributed {

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/netsim"
@@ -23,8 +24,8 @@ import (
 // objRef locates one reference of an object on a page: idx indexes the
 // page's Compulsory (optional == false) or Optional (optional == true) list.
 type objRef struct {
-	page     workload.PageID
-	idx      int
+	page     int32
+	idx      int32
 	optional bool
 }
 
@@ -62,6 +63,10 @@ type Planner struct {
 	optLocalT  []units.Seconds
 	optRemoteT []units.Seconds
 
+	// htmlBytes[i] is the HTML every page of site i keeps there (the Eq. 10
+	// floor), a constant of the workload.
+	htmlBytes []units.ByteSize
+
 	// Incremental objective and loads, kept per site so the per-site
 	// planning phases can run concurrently without sharing hot words
 	// (distinct sites touch disjoint pages).
@@ -70,14 +75,27 @@ type Planner struct {
 	siteLocalLoad []float64 // Eq. 8 LHS per site
 	siteRepoLoad  []float64 // P(S_i, R) per site
 
-	// refs[i][k] lists every reference of object k by a page of site i;
-	// localMarks[i][k] counts how many of them are currently marked local
-	// (zero marks ⇒ the replica is free to deallocate).
-	refs       []map[workload.ObjectID][]objRef
-	localMarks []map[workload.ObjectID]int
+	// The reference index. Each site numbers the distinct objects its pages
+	// name, ascending, as slots siteOff[i] ≤ s < siteOff[i+1], slotObj[s]
+	// being the object, and every reference records its slot: compSlot at
+	// compOff[j]+idx, optSlot at optOff[j]+idx. refs[refOff[s]:refOff[s+1]]
+	// lists the slot's references, pages ascending and compulsory before
+	// optional within a page; marks[s] counts how many of them are
+	// currently marked local (zero marks ⇒ the replica is free to
+	// deallocate).
+	compOff  []int
+	compSlot []int32
+	optSlot  []int32
+	siteOff  []int32
+	slotObj  []workload.ObjectID
+	refOff   []int32
+	refs     []objRef
+	marks    []int32
 }
 
 // NewPlanner builds a planner with an all-remote placement.
+//
+//repllint:hotpath — built once per plan; its cost is paid on every re-plan
 func NewPlanner(env *model.Env) *Planner {
 	w := env.W
 	pl := &Planner{
@@ -87,43 +105,59 @@ func NewPlanner(env *model.Env) *Planner {
 		remoteBytes:   make([]units.ByteSize, w.NumPages()),
 		pageT:         make([]units.Seconds, w.NumPages()),
 		optOff:        make([]int, w.NumPages()+1),
+		compOff:       make([]int, w.NumPages()+1),
+		htmlBytes:     make([]units.ByteSize, w.NumSites()),
 		d1Site:        make([]float64, w.NumSites()),
 		d2Site:        make([]float64, w.NumSites()),
 		siteLocalLoad: make([]float64, w.NumSites()),
 		siteRepoLoad:  make([]float64, w.NumSites()),
-		refs:          make([]map[workload.ObjectID][]objRef, w.NumSites()),
-		localMarks:    make([]map[workload.ObjectID]int, w.NumSites()),
+		siteOff:       make([]int32, w.NumSites()+1),
 	}
-	for i := range pl.refs {
-		pl.refs[i] = make(map[workload.ObjectID][]objRef)
-		pl.localMarks[i] = make(map[workload.ObjectID]int)
-	}
-	links := 0
+	links, comps := 0, 0
 	for j := range w.Pages {
-		pl.optOff[j] = links
+		pl.optOff[j], pl.compOff[j] = links, comps
 		links += len(w.Pages[j].Optional)
+		comps += len(w.Pages[j].Compulsory)
 	}
-	pl.optOff[w.NumPages()] = links
+	pl.optOff[w.NumPages()], pl.compOff[w.NumPages()] = links, comps
 	pl.optLocalT = make([]units.Seconds, links)
 	pl.optRemoteT = make([]units.Seconds, links)
-	for j := range w.Pages {
-		est := pl.env.SiteEst(workload.PageID(j))
-		for idx, l := range w.Pages[j].Optional {
-			size := w.ObjectSize(l.Object)
-			pl.optLocalT[pl.optOff[j]+idx] = est.LocalOvhd + est.LocalRate.TransferTime(size)
-			pl.optRemoteT[pl.optOff[j]+idx] = est.RepoOvhd + est.RepoRate.TransferTime(size)
-		}
+	pl.compSlot = make([]int32, comps)
+	pl.optSlot = make([]int32, links)
+	pl.numberSlots()
+	for i := range w.Sites {
+		pl.htmlBytes[i] = w.HTMLStorageBytes(workload.SiteID(i))
 	}
+
+	// Counting sort of the references into their slots, in page order;
+	// marks serves as the per-slot fill cursor and is cleared afterwards.
+	slots := len(pl.slotObj)
+	pl.refOff = make([]int32, slots+1)
+	pl.marks = make([]int32, slots)
+	for _, s := range pl.compSlot {
+		pl.refOff[s+1]++
+	}
+	for _, s := range pl.optSlot {
+		pl.refOff[s+1]++
+	}
+	for s := 1; s <= slots; s++ {
+		pl.refOff[s] += pl.refOff[s-1]
+	}
+	pl.refs = make([]objRef, pl.refOff[slots])
 	for j := range w.Pages {
 		pg := &w.Pages[j]
+		est := pl.env.SiteEst(workload.PageID(j))
 		pl.localBytes[j] = pg.HTMLSize
 		var rb units.ByteSize
 		for idx, k := range pg.Compulsory {
 			rb += w.ObjectSize(k)
-			pl.refs[pg.Site][k] = append(pl.refs[pg.Site][k], objRef{workload.PageID(j), idx, false})
+			pl.addRef(pl.compSlot[pl.compOff[j]+idx], objRef{int32(j), int32(idx), false})
 		}
 		for idx, l := range pg.Optional {
-			pl.refs[pg.Site][l.Object] = append(pl.refs[pg.Site][l.Object], objRef{workload.PageID(j), idx, true})
+			size := w.ObjectSize(l.Object)
+			pl.optLocalT[pl.optOff[j]+idx] = est.LocalOvhd + est.LocalRate.TransferTime(size)
+			pl.optRemoteT[pl.optOff[j]+idx] = est.RepoOvhd + est.RepoRate.TransferTime(size)
+			pl.addRef(pl.optSlot[pl.optOff[j]+idx], objRef{int32(j), int32(idx), true})
 		}
 		pl.remoteBytes[j] = rb
 		pl.pageT[j] = pl.computePageTime(workload.PageID(j))
@@ -134,7 +168,90 @@ func NewPlanner(env *model.Env) *Planner {
 		pl.siteLocalLoad[pg.Site] += f // the HTML request
 		pl.siteRepoLoad[pg.Site] += f * pl.pageRepoPerView(workload.PageID(j))
 	}
+	clear(pl.marks)
 	return pl
+}
+
+// numberSlots numbers each site's distinct referenced objects, ascending,
+// and records every reference's slot. seen[k] is the last site (plus one)
+// found naming k; slot[k] is k's slot at the site being numbered.
+func (pl *Planner) numberSlots() {
+	w := pl.env.W
+	seen := make([]int32, w.NumObjects())
+	slot := make([]int32, w.NumObjects())
+	for i := range w.Sites {
+		start, tag := len(pl.slotObj), int32(i+1)
+		for _, j := range w.Sites[i].Pages {
+			pg := &w.Pages[j]
+			for _, k := range pg.Compulsory {
+				if seen[k] != tag {
+					seen[k] = tag
+					pl.slotObj = append(pl.slotObj, k)
+				}
+			}
+			for _, l := range pg.Optional {
+				if seen[l.Object] != tag {
+					seen[l.Object] = tag
+					pl.slotObj = append(pl.slotObj, l.Object)
+				}
+			}
+		}
+		slices.Sort(pl.slotObj[start:])
+		for s := start; s < len(pl.slotObj); s++ {
+			slot[pl.slotObj[s]] = int32(s)
+		}
+		pl.siteOff[i+1] = int32(len(pl.slotObj))
+		for _, j := range w.Sites[i].Pages {
+			pg := &w.Pages[j]
+			for idx, k := range pg.Compulsory {
+				pl.compSlot[pl.compOff[j]+idx] = slot[k]
+			}
+			for idx, l := range pg.Optional {
+				pl.optSlot[pl.optOff[j]+idx] = slot[l.Object]
+			}
+		}
+	}
+}
+
+// addRef places r at the fill cursor of slot s while NewPlanner builds the
+// reference index.
+func (pl *Planner) addRef(s int32, r objRef) {
+	pl.refs[pl.refOff[s]+pl.marks[s]] = r
+	pl.marks[s]++
+}
+
+// slotOf returns the slot of object k at site i, or -1 when no page of the
+// site names k.
+func (pl *Planner) slotOf(i workload.SiteID, k workload.ObjectID) int {
+	lo, hi := pl.siteOff[i], pl.siteOff[i+1]
+	if at, ok := slices.BinarySearch(pl.slotObj[lo:hi], k); ok {
+		return int(lo) + at
+	}
+	return -1
+}
+
+// refsOf returns every reference of object k by a page of site i.
+func (pl *Planner) refsOf(i workload.SiteID, k workload.ObjectID) []objRef {
+	s := pl.slotOf(i, k)
+	if s < 0 {
+		return nil
+	}
+	return pl.refs[pl.refOff[s]:pl.refOff[s+1]]
+}
+
+// refSlot returns the slot of page j's idx-th compulsory object or optional
+// link.
+func (pl *Planner) refSlot(j workload.PageID, idx int, optional bool) int32 {
+	if optional {
+		return pl.optSlot[pl.optOff[j]+idx]
+	}
+	return pl.compSlot[pl.compOff[j]+idx]
+}
+
+// storageUsed returns the Eq. 10 left-hand side for site i from the cached
+// HTML floor (model.Placement.StorageUsed re-sums the site's pages).
+func (pl *Planner) storageUsed(i workload.SiteID) units.ByteSize {
+	return pl.htmlBytes[i] + pl.p.StoredMOBytes(i)
 }
 
 // Env returns the planning environment.
@@ -272,13 +389,13 @@ func (pl *Planner) flipComp(j workload.PageID, idx int, toLocal bool) {
 		pl.remoteBytes[j] -= size
 		pl.siteLocalLoad[pg.Site] += f
 		pl.siteRepoLoad[pg.Site] -= f
-		pl.localMarks[pg.Site][pg.Compulsory[idx]]++
+		pl.marks[pl.refSlot(j, idx, false)]++
 	} else {
 		pl.localBytes[j] -= size
 		pl.remoteBytes[j] += size
 		pl.siteLocalLoad[pg.Site] -= f
 		pl.siteRepoLoad[pg.Site] += f
-		pl.localMarks[pg.Site][pg.Compulsory[idx]]--
+		pl.marks[pl.refSlot(j, idx, false)]--
 	}
 	pl.p.SetCompLocal(j, idx, toLocal)
 	newT := pl.computePageTime(j)
@@ -305,11 +422,11 @@ func (pl *Planner) flipOpt(j workload.PageID, idx int, toLocal bool) {
 	if toLocal {
 		pl.siteLocalLoad[pg.Site] += f * l.Prob
 		pl.siteRepoLoad[pg.Site] -= f * l.Prob
-		pl.localMarks[pg.Site][l.Object]++
+		pl.marks[pl.refSlot(j, idx, true)]++
 	} else {
 		pl.siteLocalLoad[pg.Site] -= f * l.Prob
 		pl.siteRepoLoad[pg.Site] += f * l.Prob
-		pl.localMarks[pg.Site][l.Object]--
+		pl.marks[pl.refSlot(j, idx, true)]--
 	}
 }
 
@@ -368,32 +485,30 @@ func (pl *Planner) VerifyConsistency() error {
 	if d2 := model.D2(pl.env, pl.p); !approxEqual(d2, pl.D2(), eps) {
 		return fmt.Errorf("core: cached D2 %v != recomputed %v", pl.D2(), d2)
 	}
-	// The mark counters must agree with the placement matrices.
-	for i := range pl.env.W.Sites {
-		want := make(map[workload.ObjectID]int)
-		for _, pid := range pl.env.W.Sites[i].Pages {
-			pg := &pl.env.W.Pages[pid]
-			for idx, k := range pg.Compulsory {
-				if pl.p.CompLocal(pid, idx) {
-					want[k]++
-				}
-			}
-			for idx, l := range pg.Optional {
-				if pl.p.OptLocal(pid, idx) {
-					want[l.Object]++
-				}
+	// Every reference's slot must name its object at its site, and the mark
+	// counters must agree with the placement matrices.
+	want := make([]int32, len(pl.marks))
+	for j := range pl.env.W.Pages {
+		pid := workload.PageID(j)
+		pg := &pl.env.W.Pages[j]
+		for idx, k := range pg.Compulsory {
+			if s := pl.refSlot(pid, idx, false); int(s) != pl.slotOf(pg.Site, k) {
+				return fmt.Errorf("core: page %d compulsory %d has slot %d, not object %d's", j, idx, s, k)
+			} else if pl.p.CompLocal(pid, idx) {
+				want[s]++
 			}
 		}
-		for k, n := range pl.localMarks[i] {
-			if n != want[k] {
-				return fmt.Errorf("core: site %d object %d mark count %d != %d", i, k, n, want[k])
+		for idx, l := range pg.Optional {
+			if s := pl.refSlot(pid, idx, true); int(s) != pl.slotOf(pg.Site, l.Object) {
+				return fmt.Errorf("core: page %d optional %d has slot %d, not object %d's", j, idx, s, l.Object)
+			} else if pl.p.OptLocal(pid, idx) {
+				want[s]++
 			}
-			delete(want, k)
 		}
-		for k, n := range want {
-			if n != 0 {
-				return fmt.Errorf("core: site %d object %d has %d marks but no counter", i, k, n)
-			}
+	}
+	for s, n := range pl.marks {
+		if n != want[s] {
+			return fmt.Errorf("core: object %d mark count %d != %d in slot %d", pl.slotObj[s], n, want[s], s)
 		}
 	}
 	for i := range pl.env.W.Sites {

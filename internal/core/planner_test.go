@@ -171,8 +171,8 @@ func TestFlipCompUpdatesCaches(t *testing.T) {
 	if err := pl.VerifyConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	if pl.localMarks[0][0] != 0 {
-		t.Errorf("mark count = %d after flip round-trip", pl.localMarks[0][0])
+	if n := pl.marks[pl.slotOf(0, 0)]; n != 0 {
+		t.Errorf("mark count = %d after flip round-trip", n)
 	}
 }
 

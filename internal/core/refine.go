@@ -19,7 +19,7 @@ import (
 func (pl *Planner) RefineSite(i workload.SiteID) (flips int) {
 	capacity := float64(pl.env.Budgets.SiteCapacity[i])
 
-	var items []heapItem
+	items := pl.candidates(i)
 	for _, pid := range pl.env.W.Sites[i].Pages {
 		pg := &pl.env.W.Pages[pid]
 		for idx := range pg.Compulsory {

@@ -28,35 +28,40 @@ func decodeRef(id int64) (workload.PageID, int, bool) {
 // once per page), so the per-reference previews are exactly additive.
 func (pl *Planner) deallocCost(i workload.SiteID, k workload.ObjectID) float64 {
 	cost := 0.0
-	for _, r := range pl.refs[i][k] {
+	for _, r := range pl.refsOf(i, k) {
+		j, idx := workload.PageID(r.page), int(r.idx)
 		if r.optional {
-			if pl.p.OptLocal(r.page, r.idx) {
-				cost += pl.previewFlipOpt(r.page, r.idx, false)
+			if pl.p.OptLocal(j, idx) {
+				cost += pl.previewFlipOpt(j, idx, false)
 			}
-		} else if pl.p.CompLocal(r.page, r.idx) {
-			cost += pl.previewFlipComp(r.page, r.idx, false)
+		} else if pl.p.CompLocal(j, idx) {
+			cost += pl.previewFlipComp(j, idx, false)
 		}
 	}
 	return cost
 }
 
 // deallocate removes object k from site i's store, flipping every local
-// reference to the repository first. It returns the affected pages.
-func (pl *Planner) deallocate(i workload.SiteID, k workload.ObjectID) []workload.PageID {
-	var affected []workload.PageID
-	for _, r := range pl.refs[i][k] {
+// reference to the repository first. It appends the affected pages to buf
+// — a buffer owned by the caller, so concurrent per-site loops never share
+// one — and returns the extended slice.
+//
+//repllint:hotpath — storage restoration's inner loop
+func (pl *Planner) deallocate(i workload.SiteID, k workload.ObjectID, buf []workload.PageID) []workload.PageID {
+	for _, r := range pl.refsOf(i, k) {
+		j, idx := workload.PageID(r.page), int(r.idx)
 		if r.optional {
-			if pl.p.OptLocal(r.page, r.idx) {
-				pl.flipOpt(r.page, r.idx, false)
-				affected = append(affected, r.page)
+			if pl.p.OptLocal(j, idx) {
+				pl.flipOpt(j, idx, false)
+				buf = append(buf, j)
 			}
-		} else if pl.p.CompLocal(r.page, r.idx) {
-			pl.flipComp(r.page, r.idx, false)
-			affected = append(affected, r.page)
+		} else if pl.p.CompLocal(j, idx) {
+			pl.flipComp(j, idx, false)
+			buf = append(buf, j)
 		}
 	}
 	pl.p.Unstore(i, k)
-	return affected
+	return buf
 }
 
 // improvePage re-examines page j after a deallocation disturbed its chains
@@ -99,11 +104,11 @@ func (pl *Planner) improvePage(j workload.PageID) (flips int) {
 // local download. Returns the number of deallocations.
 func (pl *Planner) RestoreStorageSite(i workload.SiteID) (deallocs int) {
 	budget := pl.env.Budgets.Storage[i]
-	if pl.p.StorageUsed(i) <= budget {
+	if pl.storageUsed(i) <= budget {
 		return 0
 	}
 
-	var items []heapItem
+	items := make([]heapItem, 0, pl.p.StoredSet(i).Count())
 	pl.p.StoredSet(i).ForEach(func(kk int) bool {
 		k := workload.ObjectID(kk)
 		size := float64(pl.env.W.ObjectSize(k))
@@ -120,7 +125,8 @@ func (pl *Planner) RestoreStorageSite(i workload.SiteID) (deallocs int) {
 		return pl.deallocCost(i, k) / float64(pl.env.W.ObjectSize(k)), true
 	}
 
-	for pl.p.StorageUsed(i) > budget {
+	var affected []workload.PageID
+	for pl.storageUsed(i) > budget {
 		id, _, ok := h.popFresh(recompute)
 		if !ok {
 			// Nothing left to deallocate; only HTML remains. The budget is
@@ -128,7 +134,7 @@ func (pl *Planner) RestoreStorageSite(i workload.SiteID) (deallocs int) {
 			// constraint check.
 			return deallocs
 		}
-		affected := pl.deallocate(i, workload.ObjectID(id))
+		affected = pl.deallocate(i, workload.ObjectID(id), affected[:0])
 		deallocs++
 		if !pl.NoRepartition {
 			for _, j := range affected {
@@ -150,7 +156,7 @@ func (pl *Planner) RestoreProcessingSite(i workload.SiteID) (flips int) {
 		return 0
 	}
 
-	var items []heapItem
+	items := pl.candidates(i)
 	for _, pid := range pl.env.W.Sites[i].Pages {
 		pg := &pl.env.W.Pages[pid]
 		for idx := range pg.Compulsory {
@@ -203,7 +209,7 @@ func (pl *Planner) RestoreProcessingSite(i workload.SiteID) (flips int) {
 			pl.flipComp(j, idx, false)
 		}
 		flips++
-		if pl.localMarks[i][k] == 0 {
+		if pl.marks[pl.refSlot(j, idx, optional)] == 0 {
 			pl.p.Unstore(i, k)
 		}
 	}

@@ -227,7 +227,7 @@ func TestDeallocCostAdditive(t *testing.T) {
 			k := workload.ObjectID(kk)
 			cost := pl.deallocCost(id, k)
 			before := pl.D()
-			pl.deallocate(id, k)
+			pl.deallocate(id, k, nil)
 			got := pl.D() - before
 			if math.Abs(got-cost) > 1e-6*(1+math.Abs(cost)) {
 				t.Errorf("site %d object %d: deallocCost %v, actual ΔD %v", i, k, cost, got)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/faults"
+	"repro/internal/minheap"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -221,32 +221,19 @@ type simEvent struct {
 	req  *simReq
 }
 
-// eventHeap orders events by (time, insertion sequence) — a total,
+// Less orders events by (time, insertion sequence) — a total,
 // deterministic order.
-type eventHeap []*simEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (a *simEvent) Less(b *simEvent) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*simEvent)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return a.seq < b.seq
 }
 
 // overloadSim is one pass's world state.
 type overloadSim struct {
 	protected bool
-	events    eventHeap
+	events    minheap.Heap[*simEvent]
 	seq       int
 	queue     []*simReq
 	busy      bool
@@ -284,9 +271,9 @@ func simOverload(root *rng.Stream, r int, protected bool) OverloadPass {
 		s.budget = admission.NewRetryBudget(OverloadBudgetRatio, OverloadBudgetCap)
 	}
 	s.schedule(0, evArrivalGen, nil)
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(*simEvent)
-		if ev.t >= OverloadDuration {
+	for {
+		ev, ok := s.events.Pop()
+		if !ok || ev.t >= OverloadDuration {
 			break
 		}
 		switch ev.kind {
@@ -307,7 +294,7 @@ func simOverload(root *rng.Stream, r int, protected bool) OverloadPass {
 // schedule pushes an event at t.
 func (s *overloadSim) schedule(t time.Duration, kind int, req *simReq) {
 	s.seq++
-	heap.Push(&s.events, &simEvent{t: t, seq: s.seq, kind: kind, req: req})
+	s.events.Push(&simEvent{t: t, seq: s.seq, kind: kind, req: req})
 }
 
 // newRequest issues a fresh request at t and draws the next arrival from

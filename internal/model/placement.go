@@ -34,7 +34,7 @@ type Placement struct {
 }
 
 // NewPlacement returns an all-remote placement: X = 0, X' covers nothing,
-// no objects stored.
+// no objects stored. Every page's rows are carved from two shared slabs.
 func NewPlacement(w *workload.Workload) *Placement {
 	p := &Placement{
 		w:           w,
@@ -43,9 +43,16 @@ func NewPlacement(w *workload.Workload) *Placement {
 		stored:      make([]*bitset.Set, w.NumSites()),
 		storedBytes: make([]units.ByteSize, w.NumSites()),
 	}
-	for j := range p.xComp {
-		p.xComp[j] = make([]bool, len(w.Pages[j].Compulsory))
-		p.xOpt[j] = make([]bool, len(w.Pages[j].Optional))
+	nComp, nOpt := 0, 0
+	for j := range w.Pages {
+		nComp += len(w.Pages[j].Compulsory)
+		nOpt += len(w.Pages[j].Optional)
+	}
+	comp, opt := make([]bool, nComp), make([]bool, nOpt)
+	for j := range w.Pages {
+		c, o := len(w.Pages[j].Compulsory), len(w.Pages[j].Optional)
+		p.xComp[j], comp = comp[:c:c], comp[c:]
+		p.xOpt[j], opt = opt[:o:o], opt[o:]
 	}
 	for i := range p.stored {
 		p.stored[i] = bitset.New(w.NumObjects())
@@ -107,56 +114,16 @@ func (p *Placement) StorageUsed(i workload.SiteID) units.ByteSize {
 
 // Clone returns a deep copy of the placement.
 func (p *Placement) Clone() *Placement {
-	c := &Placement{
-		w:           p.w,
-		xComp:       make([][]bool, len(p.xComp)),
-		xOpt:        make([][]bool, len(p.xOpt)),
-		stored:      make([]*bitset.Set, len(p.stored)),
-		storedBytes: append([]units.ByteSize(nil), p.storedBytes...),
-	}
+	c := NewPlacement(p.w)
 	for j := range p.xComp {
-		c.xComp[j] = append([]bool(nil), p.xComp[j]...)
-		c.xOpt[j] = append([]bool(nil), p.xOpt[j]...)
+		copy(c.xComp[j], p.xComp[j])
+		copy(c.xOpt[j], p.xOpt[j])
 	}
 	for i := range p.stored {
-		c.stored[i] = p.stored[i].Clone()
+		c.stored[i].CopyFrom(p.stored[i])
 	}
+	copy(c.storedBytes, p.storedBytes)
 	return c
-}
-
-// SiteView returns a copy-on-write view of the placement for site i: the X
-// and X' rows of the site's own pages plus its store are deep-copied, while
-// every other site's rows are shared. Writes confined to site i — the only
-// writes the per-site planning phases perform — leave the original placement
-// untouched, so views for distinct sites can be mutated concurrently and
-// folded back with AdoptSiteView.
-func (p *Placement) SiteView(i workload.SiteID) *Placement {
-	c := &Placement{
-		w:           p.w,
-		xComp:       append([][]bool(nil), p.xComp...),
-		xOpt:        append([][]bool(nil), p.xOpt...),
-		stored:      append([]*bitset.Set(nil), p.stored...),
-		storedBytes: append([]units.ByteSize(nil), p.storedBytes...),
-	}
-	for _, j := range p.w.Sites[i].Pages {
-		c.xComp[j] = append([]bool(nil), p.xComp[j]...)
-		c.xOpt[j] = append([]bool(nil), p.xOpt[j]...)
-	}
-	c.stored[i] = p.stored[i].Clone()
-	return c
-}
-
-// AdoptSiteView copies site i's state — its pages' X/X' rows, its store and
-// the stored-bytes accounting — from a SiteView back into p. Everything
-// outside site i is ignored, so serially adopting the views of distinct
-// sites applies exactly the mutations each view performed.
-func (p *Placement) AdoptSiteView(v *Placement, i workload.SiteID) {
-	for _, j := range p.w.Sites[i].Pages {
-		copy(p.xComp[j], v.xComp[j])
-		copy(p.xOpt[j], v.xOpt[j])
-	}
-	p.stored[i].CopyFrom(v.stored[i])
-	p.storedBytes[i] = v.storedBytes[i]
 }
 
 // AllLocal returns a placement where every compulsory and optional object is

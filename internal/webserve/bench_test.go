@@ -94,3 +94,23 @@ func BenchmarkBodyCRC(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodePayloadHeader prices the header parse alone: the in-place
+// parser and, for reference, the fmt.Sscanf decode it replaced (kept in
+// header_test.go for the differential test).
+func BenchmarkDecodePayloadHeader(b *testing.B) {
+	hdr := EncodePayloadHeader(PayloadHeader{Object: 1234, Source: 7, Seed: 0x42, Length: 1 << 20, Sum: 0xdeadbeef})
+	for _, c := range []struct {
+		name   string
+		decode func([]byte) (PayloadHeader, error)
+	}{{"inplace", DecodePayloadHeader}, {"sscanf", decodeHeaderSscanf}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.decode(hdr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

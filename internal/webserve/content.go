@@ -14,7 +14,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/rng"
 	"repro/internal/units"
@@ -110,10 +113,10 @@ func DecodePayloadHeader(data []byte) (PayloadHeader, error) {
 		return h, &IntegrityError{Reason: "payload header not newline-terminated"}
 	}
 	line := bytes.TrimRight(data[:PayloadHeaderLen-1], " ")
+	sc := headerScanner(line)
 	var obj int
-	n, err := fmt.Sscanf(string(line), "REPL1 obj=%d src=%d seed=%x len=%d sum=%x",
-		&obj, &h.Source, &h.Seed, &h.Length, &h.Sum)
-	if err != nil || n != 5 {
+	ok := sc.header(&h, &obj)
+	if !ok {
 		return h, &IntegrityError{Reason: fmt.Sprintf("malformed payload header %q", line)}
 	}
 	if obj < 0 || h.Length < PayloadHeaderLen {
@@ -128,6 +131,150 @@ func DecodePayloadHeader(data []byte) (PayloadHeader, error) {
 		return h, &IntegrityError{Object: h.Object, Reason: "non-canonical payload header"}
 	}
 	return h, nil
+}
+
+// headerScanner is the unread rest of a header line. It parses the line
+// in place by the rules fmt.Sscanf applies to the format
+// "REPL1 obj=%d src=%d seed=%x len=%d sum=%x" — the decoder's original
+// parser — so it accepts and rejects the same lines and sets the same
+// fields before a failure: a format space needs one or more input spaces
+// other than newline; each operand skips leading spaces (a newline there
+// fails), takes an optional sign when signed, then one or more digits,
+// greedily, and fails when the value overflows its type. Text after the
+// last operand is left to the canonical re-encode check.
+type headerScanner []byte
+
+// header reads the five operands into obj and h in order, stopping at the
+// first failure; the operands read before it stay set.
+func (sc *headerScanner) header(h *PayloadHeader, obj *int) bool {
+	if !sc.literal("REPL1") || !sc.field("obj=") {
+		return false
+	}
+	v, ok := sc.signed()
+	if !ok {
+		return false
+	}
+	*obj = int(v)
+	if !sc.field("src=") {
+		return false
+	}
+	if v, ok = sc.signed(); !ok {
+		return false
+	}
+	h.Source = int(v)
+	if !sc.field("seed=") {
+		return false
+	}
+	u, ok := sc.unsigned(64)
+	if !ok {
+		return false
+	}
+	h.Seed = u
+	if !sc.field("len=") {
+		return false
+	}
+	if v, ok = sc.signed(); !ok {
+		return false
+	}
+	h.Length = v
+	if !sc.field("sum=") {
+		return false
+	}
+	if u, ok = sc.unsigned(32); !ok {
+		return false
+	}
+	h.Sum = uint32(u)
+	return true
+}
+
+// literal consumes s exactly.
+func (sc *headerScanner) literal(s string) bool {
+	if len(*sc) < len(s) || string((*sc)[:len(s)]) != s {
+		return false
+	}
+	*sc = (*sc)[len(s):]
+	return true
+}
+
+// field consumes a format space and then an operand's label.
+func (sc *headerScanner) field(label string) bool {
+	return sc.skipSpaces() > 0 && sc.literal(label)
+}
+
+// skipSpaces consumes spaces up to the first non-space or newline and
+// returns how many bytes it consumed.
+func (sc *headerScanner) skipSpaces() int {
+	n := 0
+	for n < len(*sc) {
+		r, size := utf8.DecodeRune((*sc)[n:])
+		if r == '\n' || !unicode.IsSpace(r) {
+			break
+		}
+		n += size
+	}
+	*sc = (*sc)[n:]
+	return n
+}
+
+// digits reads an operand: spaces, an optional sign when signed, then
+// digits in base, accumulating the magnitude. ok is false when no digit
+// follows or the magnitude overflows 64 bits.
+func (sc *headerScanner) digits(base uint64, signed bool) (mag uint64, neg, ok bool) {
+	sc.skipSpaces()
+	b := *sc
+	if signed && len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		neg = b[0] == '-'
+		b = b[1:]
+	}
+	n := 0
+	for ; n < len(b); n++ {
+		d := uint64(hexVal(b[n]))
+		if d >= base {
+			break
+		}
+		if mag > (math.MaxUint64-d)/base {
+			return 0, false, false
+		}
+		mag = mag*base + d
+	}
+	*sc = b[n:]
+	return mag, neg, n > 0
+}
+
+// signed reads a decimal operand into a 64-bit signed value.
+func (sc *headerScanner) signed() (int64, bool) {
+	mag, neg, ok := sc.digits(10, true)
+	switch {
+	case !ok:
+		return 0, false
+	case neg && mag <= 1<<63:
+		return int64(-mag), true
+	case !neg && mag <= math.MaxInt64:
+		return int64(mag), true
+	}
+	return 0, false
+}
+
+// unsigned reads a hex operand into an unsigned value of the given width.
+func (sc *headerScanner) unsigned(bits int) (uint64, bool) {
+	mag, _, ok := sc.digits(16, false)
+	if !ok || mag>>(bits-1)>>1 != 0 {
+		return 0, false
+	}
+	return mag, true
+}
+
+// hexVal returns the value of a hex digit, or 16 for any other byte.
+func hexVal(c byte) byte {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0'
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10
+	}
+	return 16
 }
 
 // IntegrityError reports a payload that fails end-to-end verification —
